@@ -12,32 +12,45 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
+# ctest runs every discovered TEST as its own process; running them in
+# parallel keeps races between test processes (shared temp files) visible.
+JOBS="$(nproc)"
+
 run_release() {
+  echo "=== release: temp paths go through test::TempPath ==="
+  # Test processes run concurrently, so a fixed name under the shared
+  # ::testing::TempDir() races between them; tests/join_test_util.h's
+  # TempPath gives each process its own directory.
+  if grep -rn --include='*.cc' --include='*.h' '::testing::TempDir()' tests |
+      grep -v '^tests/join_test_util.h:'; then
+    echo "use test::TempPath (tests/join_test_util.h) instead" >&2
+    exit 1
+  fi
   echo "=== release: configure + build + ctest ==="
   cmake --preset release
   cmake --build --preset release
-  ctest --preset release
+  ctest --preset release -j "$JOBS"
   echo "=== release: ctest again with SDJ_KERNEL=scalar ==="
   # Same binaries, forced onto the scalar kernel path (DESIGN.md §15): the
   # per-ISA lockstep tests iterate every supported tier regardless, but this
   # pass proves the whole suite — engines, golden streams, cursors — is
   # bit-identical when runtime dispatch is disabled, so a wide-vector bug
   # can never hide behind "the tests only ran the fast path".
-  SDJ_KERNEL=scalar ctest --preset release
+  SDJ_KERNEL=scalar ctest --preset release -j "$JOBS"
   echo "=== release: ctest again with SDJ_SCREEN=off ==="
   # Integer code screening disabled (DESIGN.md §17): screening defaults on
   # for quantized trees, so the normal pass exercises the screened paths and
   # this pass proves every engine, golden stream, and cursor is byte-identical
   # with the screen bypassed — the decode-everything path must never rot into
   # "only correct because the screen hid it" (or vice versa).
-  SDJ_SCREEN=off ctest --preset release
+  SDJ_SCREEN=off ctest --preset release -j "$JOBS"
   echo "=== release: ctest again with SDJ_SHARDS=4 ==="
   # Sharded execution defaulted on (DESIGN.md §18): every surface that
   # leaves its shards option at 0 — the whole cli_test durable-cursor
-  # matrix and the Sharded* wrappers — now runs four independent shard
+  # matrix and the Sharded<Engine> wrapper — now runs four independent shard
   # engines behind the k-way frontier merge. The suite must pass unchanged,
   # proving the sharded stack is a drop-in for the serial pop loop.
-  SDJ_SHARDS=4 ctest --preset release
+  SDJ_SHARDS=4 ctest --preset release -j "$JOBS"
   echo "=== release: full crash-point sweep (SDJ_CRASH_SPILL_STRIDE=1) ==="
   # Deterministic power-loss enumeration (DESIGN.md §16). The snapshot and
   # session-table sweeps already enumerate every write/sync op in the normal
@@ -46,7 +59,7 @@ run_release() {
   # so the release gate covers 100% of spill crash points; the sanitizer
   # stages keep the sampled stride (full enumeration under ASan is slow and
   # adds no coverage the release sweep lacks).
-  SDJ_CRASH_SPILL_STRIDE=1 ctest --preset release -R 'CrashPoint'
+  SDJ_CRASH_SPILL_STRIDE=1 ctest --preset release -j "$JOBS" -R 'CrashPoint'
   echo "=== release: bench smoke (SDJ_BENCH_SCALE=0.05) ==="
   # Quick-scale sanity run of the main table benchmark and the durable-cursor
   # sweep: catches bench-only build or runtime breakage without the ~5 min

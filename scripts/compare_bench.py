@@ -62,6 +62,22 @@ def row_key(row):
     )
 
 
+def keyed_rows(doc):
+    """Rows keyed by row_key plus an occurrence index.
+
+    Several rows can share a row_key (at small scales the first three
+    Even/DepthFirst rows all stop at one pair), so rows with equal keys are
+    matched by their order of occurrence instead of collapsing into one.
+    """
+    keyed, seen = {}, {}
+    for row in doc.get("rows", []):
+        key = row_key(row)
+        occurrence = seen.get(key, 0)
+        seen[key] = occurrence + 1
+        keyed[key + (occurrence,)] = row
+    return keyed
+
+
 def shard_counts(doc):
     return sorted({r.get("shards", 1) for r in doc.get("rows", [])})
 
@@ -157,8 +173,8 @@ def main(argv):
         )
         return 2
 
-    base_rows = {row_key(r): r for r in baseline.get("rows", [])}
-    cur_rows = {row_key(r): r for r in current.get("rows", [])}
+    base_rows = keyed_rows(baseline)
+    cur_rows = keyed_rows(current)
     if not base_rows or not cur_rows:
         print("compare_bench: no rows to compare", file=sys.stderr)
         return 2
@@ -172,8 +188,10 @@ def main(argv):
             regressions += 1
             continue
         matched += 1
-        series, threads, shards, pairs = key
+        series, threads, shards, pairs, occurrence = key
         label = f"{series} t={threads} s={shards} pairs={pairs}"
+        if occurrence > 0:
+            label += f" #{occurrence + 1}"
 
         base_pps, cur_pps = pairs_per_sec(base), pairs_per_sec(cur)
         pps_drop = (base_pps - cur_pps) / base_pps if base_pps > 0 else 0.0

@@ -125,6 +125,17 @@ def main():
         check("missing-row", run(tool, base, cur), 1)
         write(base, {"scale": 1.0, "rows": make_rows()})
 
+        # Rows sharing a key (series, threads, shards, pairs) match by order
+        # of occurrence: a regression in the first of two equal-keyed rows
+        # must not hide behind the second.
+        first, second = make_rows()[0], make_rows(pps_scale=0.5)[0]
+        write(base, {"scale": 1.0, "rows": [first, second]})
+        write(cur, {"scale": 1.0, "rows": [make_rows(pps_scale=0.7)[0], second]})
+        check("duplicate-key-first-regressed", run(tool, base, cur), 1)
+        write(cur, {"scale": 1.0, "rows": [first, second]})
+        check("duplicate-key-identical", run(tool, base, cur), 0)
+        write(base, {"scale": 1.0, "rows": make_rows()})
+
         # Usage/schema errors: malformed JSON, scale mismatch, bad flags.
         with open(cur, "w") as f:
             f.write("{not json")

@@ -37,9 +37,11 @@
 //   bool OnQueueDrained()                      optional: true re-enters the
 //                                              loop (estimation restart)
 //
-// The policy also owns its public options, result filling, and — because the
-// config fingerprint is engine-specific — the SaveState/RestoreState framing
-// around SaveCore/RestoreCore. See DESIGN.md §13 for the author's checklist.
+// The policy's options struct derives from EngineOptions and adds only its
+// own fields. The core fingerprints the shared stream-relevant options in
+// SaveCore/RestoreCore; the policy owns result filling and the
+// SaveState/RestoreState framing (magic, version, and its own fields) around
+// them. See DESIGN.md §13 for the author's checklist.
 #ifndef SDJOIN_CORE_BEST_FIRST_H_
 #define SDJOIN_CORE_BEST_FIRST_H_
 
@@ -58,7 +60,9 @@
 #include "core/pair_queue.h"
 #include "core/snapshot.h"
 #include "geometry/code_screen.h"
+#include "geometry/metrics.h"
 #include "geometry/rect_batch.h"
+#include "geometry/simd.h"
 #include "obs/metrics.h"
 #include "storage/buffer_pool.h"
 #include "util/check.h"
@@ -67,16 +71,104 @@
 
 namespace sdj {
 
-// The cross-cutting knobs every best-first engine shares; each engine copies
-// them out of its own options struct at construction.
-struct BestFirstConfig {
+// The options every best-first engine shares. DistanceJoinOptions,
+// WithinJoinOptions and IncNeighborOptions derive from this block; the core
+// copies it at construction and fingerprints metric, tie_break,
+// use_hybrid_queue, hybrid.tier_width and screen_codes in SaveCore, so a
+// policy's SaveState only covers its own fields.
+struct EngineOptions {
+  Metric metric = Metric::kEuclidean;
+  // Equal-key ordering of queued pairs (Section 2.2.2).
   TieBreakPolicy tie_break = TieBreakPolicy::kDepthFirst;
+
+  // Use the hybrid memory/disk priority queue (Section 3.2). Not available
+  // with negated (farthest-first) keys.
   bool use_hybrid_queue = false;
   HybridQueueOptions hybrid;
-  int num_threads = 1;
+
+  // Partition the pair space across this many independent engines merged
+  // by a k-way frontier merge (core/shard_plan.h + core/shard_merge.h,
+  // DESIGN.md §18). Consumed by the Sharded<Engine> wrapper; a raw engine
+  // ignores it. 0 = take the SDJ_SHARDS environment default (1 when unset);
+  // explicit values >= 1 win. The merged stream is bit-identical to the
+  // serial engine at any shard count.
+  int shards = 0;
+
+  // Internal (core/shard_plan.h): construct the engine without seeding the
+  // root entry; the shard plan adopts externally planned entries instead.
+  // Not for direct use — an engine built with this and never adopted
+  // reports an empty result.
+  bool defer_seed = false;
+
+  // Cooperative suspension (DESIGN.md §11): once the token requests a stop
+  // (cancellation or deadline), Next() halts at the next safe point — the
+  // top of its pop/expand loop — with status() == kSuspended. The engine's
+  // state is then self-consistent and serializable (SaveState), and the
+  // traversal continues after ResumeSuspended(). Checked only in the serial
+  // loop, so parallel classify stays output-identical to serial.
   util::StopToken stop_token;
+
+  // Optional observability sink (DESIGN.md §12). When set, the engine
+  // records pop and expansion latency, the hybrid queue (if used) adds
+  // refill stalls, spill latency and its page I/O, and trace events flow to
+  // the sink's TraceSink if one is attached. Null disables everything; every
+  // instrumentation point then costs one pointer test. Not fingerprinted:
+  // durations are observations, never engine state.
   obs::Metrics* metrics = nullptr;
+
+  // Which SIMD path the batched distance kernels take (DESIGN.md §15).
+  // kAuto detects the best supported ISA once per process; explicit
+  // requests degrade to the nearest supported path, never upgrade. Every
+  // path is bit-identical to scalar, so the choice cannot change the
+  // stream, any statistic, or the snapshot fingerprint. Overridable per
+  // process with SDJ_KERNEL and per CLI run with --kernel=.
+  simd::Isa kernel_isa = simd::Isa::kAuto;
+
+  // Integer-domain candidate screening on quantized node pages (DESIGN.md
+  // §17): screen entry codes against the query in u16 arithmetic and decode
+  // only possible survivors. Screening removes only entries the classify
+  // ladder would prune as out-of-range, so the stream and every
+  // pre-existing statistic are byte-identical with it on or off (only the
+  // screened_candidates/screen_survivors counters differ); each policy
+  // engages it only where that equivalence is provable (quantized pages and
+  // a finite bound). Defaults on; SDJ_SCREEN=off disables per process,
+  // --screen= per CLI run. Fingerprinted, since the screening counters
+  // persist in saved stats.
+  bool screen_codes = code_screen::DefaultEnabled();
 };
+
+// Pool-derived counters summed over every buffer pool an engine reads.
+inline uint64_t PoolMisses(const std::vector<const storage::BufferPool*>& p) {
+  uint64_t total = 0;
+  for (const storage::BufferPool* pool : p) {
+    total += pool->stats().buffer_misses;
+  }
+  return total;
+}
+inline uint64_t PoolAccesses(
+    const std::vector<const storage::BufferPool*>& p) {
+  uint64_t total = 0;
+  for (const storage::BufferPool* pool : p) {
+    total += pool->stats().logical_reads;
+  }
+  return total;
+}
+inline uint64_t PoolRetries(const std::vector<const storage::BufferPool*>& p) {
+  uint64_t total = 0;
+  for (const storage::BufferPool* pool : p) {
+    const storage::IoStats s = pool->stats();
+    total += s.read_retries + s.write_retries;
+  }
+  return total;
+}
+inline uint64_t PoolChecksumFailures(
+    const std::vector<const storage::BufferPool*>& p) {
+  uint64_t total = 0;
+  for (const storage::BufferPool* pool : p) {
+    total += pool->stats().checksum_failures;
+  }
+  return total;
+}
 
 // Verdict of Derived::OnPopped on one dequeued entry.
 enum class PopAction : uint8_t {
@@ -92,6 +184,8 @@ template <int Dim, typename Derived, typename Index, typename ResultT>
 class BestFirstEngine {
  public:
   using Result = ResultT;
+  using IndexType = Index;
+  static constexpr int kDim = Dim;
 
   // Produces the next result; returns false once no further result exists,
   // the stop token fired, or an unrecoverable I/O failure occurred —
@@ -160,15 +254,19 @@ class BestFirstEngine {
   const JoinStats& stats() const {
     stats_.max_queue_size =
         std::max<uint64_t>(stats_.max_queue_size, queue_->MaxSize());
-    stats_.node_io = PoolMisses() - base_node_misses_;
-    stats_.node_accesses = PoolAccesses() - base_node_accesses_;
-    stats_.io_retries = PoolRetries() - base_io_retries_;
+    stats_.node_io = PoolMisses(pools_) - base_node_misses_;
+    stats_.node_accesses = PoolAccesses(pools_) - base_node_accesses_;
+    stats_.io_retries = PoolRetries(pools_) - base_io_retries_;
     stats_.checksum_failures =
-        PoolChecksumFailures() - base_checksum_failures_;
+        PoolChecksumFailures(pools_) - base_checksum_failures_;
     stats_.spill_fallbacks =
         base_spill_fallbacks_ + queue_->spill_fallbacks();
     return stats_;
   }
+
+  // The full counter set. Equals stats() except where a policy reshapes
+  // stats() (the neighbor engines' IncNearestStats).
+  const JoinStats& engine_stats() const { return BestFirstEngine::stats(); }
 
   // Peak number of queue entries resident in memory (differs from
   // stats().max_queue_size only for the hybrid queue).
@@ -239,16 +337,18 @@ class BestFirstEngine {
 
   // `pools` are the buffer pools of every index the engine reads (one per
   // distinct index), folded into the node_io / node_accesses / io_retries /
-  // checksum_failures statistics.
+  // checksum_failures statistics. `num_threads` sizes the classify pool
+  // (values below 1 mean serial).
   BestFirstEngine(std::vector<const storage::BufferPool*> pools,
-                  const BestFirstConfig& config)
-      : config_(config),
+                  const EngineOptions& options, int num_threads = 1)
+      : config_(options),
+        isa_(simd::Resolve(options.kernel_isa)),
         pools_(std::move(pools)),
-        workers_(config.num_threads),
-        base_node_misses_(PoolMisses()),
-        base_node_accesses_(PoolAccesses()),
-        base_io_retries_(PoolRetries()),
-        base_checksum_failures_(PoolChecksumFailures()) {
+        workers_(std::max(num_threads, 1)),
+        base_node_misses_(PoolMisses(pools_)),
+        base_node_accesses_(PoolAccesses(pools_)),
+        base_io_retries_(PoolRetries(pools_)),
+        base_checksum_failures_(PoolChecksumFailures(pools_)) {
     queue_ = MakeQueue();
   }
 
@@ -550,12 +650,17 @@ class BestFirstEngine {
     s->screen_survivors = in->GetU64();
   }
 
-  // Serializes the core state — sequence counter, status, statistics, queue
-  // tier frontier and every live entry. The engine writes its config
-  // fingerprint and policy scalars around this. Returns false if the queue
-  // entries cannot all be read (an unreadable hybrid disk page); `out` must
-  // then be discarded.
+  // Serializes the core state — the shared options fingerprint, sequence
+  // counter, status, statistics, queue tier frontier and every live entry.
+  // The engine writes its own fingerprint and policy state around this.
+  // Returns false if the queue entries cannot all be read (an unreadable
+  // hybrid disk page); `out` must then be discarded.
   bool SaveCore(snapshot::Blob* out) {
+    out->PutU8(static_cast<uint8_t>(config_.metric));
+    out->PutU8(static_cast<uint8_t>(config_.tie_break));
+    out->PutBool(config_.use_hybrid_queue);
+    out->PutDouble(config_.hybrid.tier_width);
+    out->PutBool(config_.screen_codes);
     stats();  // fold pool- and queue-derived counters into stats_
     out->PutU64(next_seq_);
     out->PutU8(static_cast<uint8_t>(status_));
@@ -568,15 +673,21 @@ class BestFirstEngine {
         [out](const Entry& e) { snapshot::WriteEntry(out, e); });
   }
 
-  // Counterpart of SaveCore; the caller has already verified its
-  // fingerprint. On success the rebuilt queue pops the exact sequence the
+  // Counterpart of SaveCore; the caller has already verified its own
+  // fingerprint. A shared-options mismatch returns false with the engine
+  // untouched. On success the rebuilt queue pops the exact sequence the
   // saved one would have (the entry comparator is a total order), and the
   // statistics are rebased against the *current* pool counters so stats()
   // keeps reporting totals across the suspend/resume boundary (modular
   // uint64 arithmetic keeps the deltas exact even when the new process's
-  // pools start cold). On failure the engine is unusable and must be
-  // reconstructed.
+  // pools start cold). On any other failure the engine is unusable and must
+  // be reconstructed.
   bool RestoreCore(snapshot::BlobReader* in) {
+    if (in->GetU8() != static_cast<uint8_t>(config_.metric)) return false;
+    if (in->GetU8() != static_cast<uint8_t>(config_.tie_break)) return false;
+    if (in->GetBool() != config_.use_hybrid_queue) return false;
+    if (in->GetDouble() != config_.hybrid.tier_width) return false;
+    if (in->GetBool() != config_.screen_codes) return false;
     const uint64_t next_seq = in->GetU64();
     const uint8_t saved_status = in->GetU8();
     if (saved_status > static_cast<uint8_t>(JoinStatus::kInvalidArgument)) {
@@ -599,53 +710,22 @@ class BestFirstEngine {
     }
     next_seq_ = next_seq;
     stats_ = saved_stats;
-    base_node_misses_ = PoolMisses() - saved_stats.node_io;
-    base_node_accesses_ = PoolAccesses() - saved_stats.node_accesses;
-    base_io_retries_ = PoolRetries() - saved_stats.io_retries;
+    base_node_misses_ = PoolMisses(pools_) - saved_stats.node_io;
+    base_node_accesses_ = PoolAccesses(pools_) - saved_stats.node_accesses;
+    base_io_retries_ = PoolRetries(pools_) - saved_stats.io_retries;
     base_checksum_failures_ =
-        PoolChecksumFailures() - saved_stats.checksum_failures;
+        PoolChecksumFailures(pools_) - saved_stats.checksum_failures;
     base_spill_fallbacks_ = saved_stats.spill_fallbacks;
     status_ = static_cast<JoinStatus>(saved_status);
     return true;
-  }
-
-  // ---- pool-derived counters ----
-
-  uint64_t PoolMisses() const {
-    uint64_t total = 0;
-    for (const storage::BufferPool* pool : pools_) {
-      total += pool->stats().buffer_misses;
-    }
-    return total;
-  }
-  uint64_t PoolAccesses() const {
-    uint64_t total = 0;
-    for (const storage::BufferPool* pool : pools_) {
-      total += pool->stats().logical_reads;
-    }
-    return total;
-  }
-  uint64_t PoolRetries() const {
-    uint64_t total = 0;
-    for (const storage::BufferPool* pool : pools_) {
-      const storage::IoStats s = pool->stats();
-      total += s.read_retries + s.write_retries;
-    }
-    return total;
-  }
-  uint64_t PoolChecksumFailures() const {
-    uint64_t total = 0;
-    for (const storage::BufferPool* pool : pools_) {
-      total += pool->stats().checksum_failures;
-    }
-    return total;
   }
 
   // ---- shared state ----
 
   // Mutable so NN-style engines can re-arm the stop token / metrics sink
   // after construction; the queue itself is built once in the constructor.
-  BestFirstConfig config_;
+  EngineOptions config_;
+  const simd::Isa isa_;  // kernel path, resolved once at construction
   std::vector<const storage::BufferPool*> pools_;
   util::ThreadPool workers_;
   std::unique_ptr<PairQueue<Dim>> queue_;

@@ -41,13 +41,13 @@
 #include <vector>
 
 #include "core/best_first.h"
-#include "core/env_knobs.h"
 #include "core/hybrid_queue.h"
 #include "core/join_result.h"
 #include "core/join_stats.h"
 #include "core/max_dist_estimator.h"
 #include "core/pair_entry.h"
 #include "core/pair_queue.h"
+#include "core/shard_plan.h"
 #include "core/snapshot.h"
 #include "geometry/code_screen.h"
 #include "geometry/distance.h"
@@ -92,10 +92,10 @@ enum class SemiJoinBound {
 };
 
 // Query options for DistanceJoin (and, via SemiJoinOptions, the semi-join).
-struct DistanceJoinOptions {
-  Metric metric = Metric::kEuclidean;
+// The shared engine options (metric, tie-break, queue, shards, suspension,
+// metrics sink, kernel path, code screening) come from EngineOptions.
+struct DistanceJoinOptions : EngineOptions {
   NodeProcessingPolicy node_policy = NodeProcessingPolicy::kEven;
-  TieBreakPolicy tie_break = TieBreakPolicy::kDepthFirst;
 
   // Report only pairs with min_distance <= distance <= max_distance
   // (the WHERE clause of Figure 1; Section 2.2.3).
@@ -117,10 +117,6 @@ struct DistanceJoinOptions {
   // paper describes at the end of Section 2.2.5).
   bool reverse_order = false;
 
-  // Use the hybrid memory/disk priority queue (Section 3.2).
-  bool use_hybrid_queue = false;
-  HybridQueueOptions hybrid;
-
   // Worker threads for the expansion step (1 = serial). Child-pair scoring
   // is sharded across threads and merged in slot order, so the output pair
   // stream — and every statistic — is identical to the serial engine's
@@ -128,68 +124,14 @@ struct DistanceJoinOptions {
   // handoff are sharded; configurations that consult shared mutable state
   // per candidate (estimation, semi-join bounds, Inside2 filtering, object
   // predicates) always score serially, though still through batch kernels.
-  // 0 = take the SDJ_THREADS environment default (1 when unset); an
-  // explicit value >= 1 always wins (core/env_knobs.h).
-  int num_threads = 0;
-
-  // Partition the pair space across this many independent engines merged
-  // nearest-first by a k-way frontier merge (core/shard_plan.h +
-  // core/shard_merge.h, DESIGN.md §18). Consumed by the Sharded* wrapper
-  // types — a raw DistanceJoin ignores it. 0 = take the SDJ_SHARDS
-  // environment default (1 when unset); explicit values >= 1 win. The
-  // merged stream is bit-identical to the serial engine at any shard count.
-  int shards = 0;
-
-  // Internal (core/shard_plan.h): construct the engine without seeding the
-  // root pair; the shard plan adopts externally planned entries instead.
-  // Not for direct use — an engine built with this and never adopted
-  // reports an empty result.
-  bool defer_seed = false;
+  // Not fingerprinted: it cannot change the stream.
+  int num_threads = 1;
 
   // If set, leaf entries are treated as object bounding rectangles and this
   // callback supplies the exact object distance (Figure 3, lines 7-14).
   // If unset, objects are stored directly in the leaves (the paper's
   // experimental configuration) and entry MBRs are exact geometry.
   std::function<double(ObjectId, ObjectId)> exact_object_distance;
-
-  // Cooperative suspension (DESIGN.md §11): once the token requests a stop
-  // (cancellation or deadline), Next() halts at the next safe point — the
-  // top of its pop/expand loop — with status() == kSuspended. The engine's
-  // state is then self-consistent and serializable (SaveState), and the join
-  // continues after ResumeSuspended(). Checked only in the serial loop, so
-  // parallel mode stays output-identical to serial.
-  util::StopToken stop_token;
-
-  // Optional observability sink (DESIGN.md §12). When set, the engine
-  // records expansion-phase latency, the hybrid queue (if used) adds refill
-  // stalls, spill latency, and its page I/O, and trace events flow to the
-  // sink's TraceSink if one is attached. Null disables everything; every
-  // instrumentation point then costs one pointer test. Like num_threads,
-  // the pointer is not part of the snapshot fingerprint — durations are
-  // observations, never engine state, so metrics on/off cannot change the
-  // pair stream or JoinStats.
-  obs::Metrics* metrics = nullptr;
-
-  // Which SIMD path the batched distance kernels take (DESIGN.md §15).
-  // kAuto detects the best supported ISA once per process; explicit requests
-  // degrade to the nearest supported path, never upgrade. Every path is
-  // bit-identical to scalar, so — like num_threads — the choice cannot
-  // change the pair stream, any statistic, or the snapshot fingerprint.
-  // Overridable per process with SDJ_KERNEL and per CLI run with --kernel=.
-  simd::Isa kernel_isa = simd::Isa::kAuto;
-
-  // Integer-domain candidate screening on quantized node pages (DESIGN.md
-  // §17): screen entry codes against the query in u16 arithmetic and decode
-  // only possible survivors. Screening removes only entries the classify
-  // ladder would prune as out-of-range, so the pair stream and every
-  // pre-existing statistic are byte-identical with it on or off (only the
-  // screened_candidates/screen_survivors counters differ); it engages only
-  // in configurations where that equivalence is provable (quantized pages,
-  // finite max_distance, forward order, fast-path classify, no windows).
-  // Defaults on; SDJ_SCREEN=off disables per process, --screen= per CLI
-  // run. Unlike kernel_isa this IS part of the snapshot fingerprint, since
-  // the screening counters persist in saved stats.
-  bool screen_codes = code_screen::DefaultEnabled();
 };
 
 // Optional selection criteria on the joined relations (Section 2.2.5's first
@@ -247,7 +189,7 @@ class DistanceJoin
                SemiJoinFilter semi_filter = SemiJoinFilter::kNone,
                SemiJoinBound semi_bound = SemiJoinBound::kNone,
                bool semi_estimation = false)
-      : Base({&tree1.pool(), &tree2.pool()}, MakeConfig(options)),
+      : Base({&tree1.pool(), &tree2.pool()}, options, options.num_threads),
         tree1_(tree1),
         tree2_(tree2),
         options_(options),
@@ -256,8 +198,7 @@ class DistanceJoin
         semi_bound_(semi_bound),
         semi_estimation_(semi_estimation),
         minimal_regions_(tree1.minimal_bounding_regions() &&
-                         tree2.minimal_bounding_regions()),
-        isa_(simd::Resolve(options.kernel_isa)) {
+                         tree2.minimal_bounding_regions()) {
     SDJ_CHECK(options.min_distance >= 0.0);
     SDJ_CHECK(options.min_distance <= options.max_distance);
     if (options.estimate_max_distance) SDJ_CHECK(options.max_pairs > 0);
@@ -311,6 +252,33 @@ class DistanceJoin
     }
   }
 
+  // Sharded<DistanceJoin> (core/shard_merge.h). Ineligible configurations
+  // run one passthrough engine: an estimator (its pop-time cutoffs and
+  // restarts consult global state), reverse order (reported distances are
+  // exact MINDIST while the traversal orders by MAXDIST upper bounds, so
+  // per-shard result distances need not be monotone and the merge has no
+  // sound key), an exact-object-distance callback (obr resolution consults
+  // the engine's own queue head), or user object predicates (which may be
+  // stateful and order-sensitive). Semi-joins partition S_o and the bound
+  // tables by first-item id, so only plain joins may scatter by item2.
+  static shard::Rule ShardRule(
+      const DistanceJoinOptions& options,
+      const JoinFilters<Dim>& filters = JoinFilters<Dim>{},
+      SemiJoinFilter semi_filter = SemiJoinFilter::kNone,
+      SemiJoinBound semi_bound = SemiJoinBound::kNone,
+      bool semi_estimation = false) {
+    shard::Rule rule;
+    rule.eligible = !options.estimate_max_distance && !options.reverse_order &&
+                    options.exact_object_distance == nullptr &&
+                    filters.object_filter1 == nullptr &&
+                    filters.object_filter2 == nullptr;
+    rule.item2_fallback = semi_filter == SemiJoinFilter::kNone &&
+                          semi_bound == SemiJoinBound::kNone &&
+                          !semi_estimation;
+    rule.max_results = options.max_pairs;
+    return rule;
+  }
+
   // ---- snapshot support (DESIGN.md §11) ----
 
   // Serializes the complete engine state — queue entries and tier frontier,
@@ -323,32 +291,28 @@ class DistanceJoin
   bool SaveState(snapshot::Blob* out) {
     if (!this->SaveAllowed()) return false;
     // Fingerprint: the resuming engine must be constructed over the same
-    // trees with the same query configuration.
+    // trees with the same query configuration (the shared options are
+    // fingerprinted by SaveCore).
     out->PutU32(kStateMagic);
     out->PutU32(kStateVersion);
     out->PutU32(static_cast<uint32_t>(Dim));
-    out->PutU8(static_cast<uint8_t>(options_.metric));
     out->PutU8(static_cast<uint8_t>(options_.node_policy));
-    out->PutU8(static_cast<uint8_t>(options_.tie_break));
     out->PutBool(options_.reverse_order);
     out->PutDouble(options_.min_distance);
     out->PutDouble(options_.max_distance);
     out->PutU64(options_.max_pairs);
     out->PutBool(options_.estimate_max_distance);
     out->PutBool(options_.aggressive_estimation);
-    out->PutBool(options_.use_hybrid_queue);
-    out->PutDouble(options_.hybrid.tier_width);
     out->PutU8(static_cast<uint8_t>(semi_filter_));
     out->PutU8(static_cast<uint8_t>(semi_bound_));
     out->PutBool(semi_estimation_);
     out->PutBool(options_.exact_object_distance != nullptr);
     out->PutBool(filters_.Empty());
     out->PutBool(minimal_regions_);
-    out->PutBool(options_.screen_codes);
     out->PutU64(tree1_.size());
     out->PutU64(tree2_.size());
-    // Policy cursor scalars, then the core section (seq counter, status,
-    // statistics, queue frontier + entries).
+    // Policy cursor scalars, then the core section (shared options, seq
+    // counter, status, statistics, queue frontier + entries).
     out->PutU64(reported_count_);
     out->PutU64(replay_);
     out->PutBool(estimation_disabled_);
@@ -379,19 +343,15 @@ class DistanceJoin
     if (in->GetU32() != kStateMagic) return false;
     if (in->GetU32() != kStateVersion) return false;
     if (in->GetU32() != static_cast<uint32_t>(Dim)) return false;
-    if (in->GetU8() != static_cast<uint8_t>(options_.metric)) return false;
     if (in->GetU8() != static_cast<uint8_t>(options_.node_policy)) {
       return false;
     }
-    if (in->GetU8() != static_cast<uint8_t>(options_.tie_break)) return false;
     if (in->GetBool() != options_.reverse_order) return false;
     if (in->GetDouble() != options_.min_distance) return false;
     if (in->GetDouble() != options_.max_distance) return false;
     if (in->GetU64() != options_.max_pairs) return false;
     if (in->GetBool() != options_.estimate_max_distance) return false;
     if (in->GetBool() != options_.aggressive_estimation) return false;
-    if (in->GetBool() != options_.use_hybrid_queue) return false;
-    if (in->GetDouble() != options_.hybrid.tier_width) return false;
     if (in->GetU8() != static_cast<uint8_t>(semi_filter_)) return false;
     if (in->GetU8() != static_cast<uint8_t>(semi_bound_)) return false;
     if (in->GetBool() != semi_estimation_) return false;
@@ -400,16 +360,20 @@ class DistanceJoin
     }
     if (in->GetBool() != filters_.Empty()) return false;
     if (in->GetBool() != minimal_regions_) return false;
-    if (in->GetBool() != options_.screen_codes) return false;
     if (in->GetU64() != tree1_.size()) return false;
     if (in->GetU64() != tree2_.size()) return false;
     if (!in->ok()) return false;
 
-    reported_count_ = in->GetU64();
-    replay_ = in->GetU64();
-    estimation_disabled_ = in->GetBool();
+    // The cursor scalars precede the core section, whose shared-options
+    // fingerprint must match before anything is overwritten.
+    const uint64_t reported_count = in->GetU64();
+    const uint64_t replay = in->GetU64();
+    const bool estimation_disabled = in->GetBool();
     if (!in->ok()) return false;
     if (!this->RestoreCore(in)) return false;
+    reported_count_ = reported_count;
+    replay_ = replay;
+    estimation_disabled_ = estimation_disabled;
     ResetEstimator();  // honors the restored estimation_disabled_
     const bool saved_estimator = in->GetBool();
     if (saved_estimator != estimator_.has_value()) return false;
@@ -445,6 +409,7 @@ class DistanceJoin
   using Base::refs1_;
   using Base::refs2_;
   using Base::right_;
+  using Base::isa_;
   using Base::stats_;
   using Base::status_;
   using Base::MarkIoError;
@@ -457,18 +422,8 @@ class DistanceJoin
   // (core/best_first.h SaveCore).
   // Version 3: screen_codes in the fingerprint, screening counters in the
   // shared stats section.
-  static constexpr uint32_t kStateVersion = 3;
-
-  static BestFirstConfig MakeConfig(const DistanceJoinOptions& options) {
-    BestFirstConfig config;
-    config.tie_break = options.tie_break;
-    config.use_hybrid_queue = options.use_hybrid_queue;
-    config.hybrid = options.hybrid;
-    config.num_threads = env_knobs::ResolveThreads(options.num_threads);
-    config.stop_token = options.stop_token;
-    config.metrics = options.metrics;
-    return config;
-  }
+  // Version 4: the shared options are fingerprinted by the core section.
+  static constexpr uint32_t kStateVersion = 4;
 
   // ---- policy hooks (invoked by the core's Next loop) ----
 
@@ -1285,8 +1240,6 @@ class DistanceJoin
   // True only when BOTH trees' node regions minimally bound their contents
   // at runtime (quantized R-tree nodes are outward-rounded, hence loose).
   const bool minimal_regions_;
-  // SIMD path for the batched kernels, resolved once at construction.
-  const simd::Isa isa_;
 
   // Join-specific expansion scratch (shared scratch lives in the core).
   std::vector<double> semi_dmax_;

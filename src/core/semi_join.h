@@ -12,7 +12,9 @@
 #ifndef SDJOIN_CORE_SEMI_JOIN_H_
 #define SDJOIN_CORE_SEMI_JOIN_H_
 
+#include <cstdint>
 #include <utility>
+#include <vector>
 
 #include "core/distance_join.h"
 #include "core/join_stats.h"
@@ -44,8 +46,8 @@ struct SemiJoinOptions {
 //   DistanceSemiJoin<2> semi(stores, warehouses, options);
 //   JoinResult<2> pair;
 //   while (semi.Next(&pair)) Assign(pair.id1, pair.id2);
-// EngineT is the underlying join engine: DistanceJoin by default, or a
-// ShardedDistanceJoin (core/shard_merge.h) for shard-parallel execution.
+// EngineT is the underlying join engine: DistanceJoin by default, or
+// Sharded<DistanceJoin> (core/shard_merge.h) for shard-parallel execution.
 // It must accept DistanceJoin's 7-argument constructor shape.
 template <int Dim, typename Index = RTree<Dim>,
           typename EngineT = DistanceJoin<Dim, Index>>
@@ -156,10 +158,12 @@ class DistanceSemiJoin {
     const uint64_t outside_filtered = in->GetU64();
     if (in->GetU64() != outside_.size()) return false;
     if (in->GetCount(8) != outside_.WordCount()) return false;
-    for (size_t i = 0; i < outside_.WordCount(); ++i) {
-      outside_.SetWord(i, in->GetU64());
-    }
+    // Held aside until the engine accepts its fingerprint, so a refused
+    // snapshot leaves this wrapper untouched too.
+    std::vector<uint64_t> words(outside_.WordCount());
+    for (uint64_t& word : words) word = in->GetU64();
     if (!in->ok() || !engine_.RestoreState(in)) return false;
+    for (size_t i = 0; i < words.size(); ++i) outside_.SetWord(i, words[i]);
     reported_ = reported;
     outside_filtered_ = outside_filtered;
     return true;

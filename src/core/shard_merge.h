@@ -41,6 +41,7 @@
 #ifndef SDJOIN_CORE_SHARD_MERGE_H_
 #define SDJOIN_CORE_SHARD_MERGE_H_
 
+#include <concepts>
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
@@ -48,9 +49,11 @@
 #include <mutex>
 #include <string>
 #include <thread>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
+#include "core/best_first.h"
 #include "core/distance_join.h"
 #include "core/env_knobs.h"
 #include "core/join_result.h"
@@ -59,46 +62,15 @@
 #include "core/shard_plan.h"
 #include "core/snapshot.h"
 #include "core/within_join.h"
+#include "geometry/point.h"
+#include "nn/inc_farthest.h"
+#include "nn/inc_nearest.h"
 #include "rtree/rtree.h"
 #include "storage/buffer_pool.h"
 #include "util/check.h"
 #include "util/stop_token.h"
 
 namespace sdj::shard {
-
-// ---- pool-derived counters (wrapper-owned baselines) ----
-
-inline uint64_t PoolMisses(const std::vector<const storage::BufferPool*>& p) {
-  uint64_t total = 0;
-  for (const storage::BufferPool* pool : p) {
-    total += pool->stats().buffer_misses;
-  }
-  return total;
-}
-inline uint64_t PoolAccesses(
-    const std::vector<const storage::BufferPool*>& p) {
-  uint64_t total = 0;
-  for (const storage::BufferPool* pool : p) {
-    total += pool->stats().logical_reads;
-  }
-  return total;
-}
-inline uint64_t PoolRetries(const std::vector<const storage::BufferPool*>& p) {
-  uint64_t total = 0;
-  for (const storage::BufferPool* pool : p) {
-    const storage::IoStats s = pool->stats();
-    total += s.read_retries + s.write_retries;
-  }
-  return total;
-}
-inline uint64_t PoolChecksumFailures(
-    const std::vector<const storage::BufferPool*>& p) {
-  uint64_t total = 0;
-  for (const storage::BufferPool* pool : p) {
-    total += pool->stats().checksum_failures;
-  }
-  return total;
-}
 
 // ---- result wire format (buffered-result serialization) ----
 
@@ -352,20 +324,82 @@ class FrontierMerge {
   uint64_t merge_pops_ = 0;
 };
 
-// ---- the shared sharded-engine wrapper ----
+}  // namespace sdj::shard
 
-// Common machinery of every Sharded* policy wrapper: passthrough mode (the
-// plan failed or K < 2 — one ordinary engine, zero threads), the merge-level
-// Next loop with its StopToken safe point and result cap, merged statistics
-// with wrapper-owned pool baselines, and SaveState/RestoreState framing.
-// A Derived constructor runs the shard plan and calls AdoptPassthrough or
-// AdoptShards; everything else is inherited.
-template <int Dim, typename EngineT, typename ResultT>
-class ShardedEngine {
+namespace sdj {
+
+// ---- the sharded wrapper ----
+
+// Sharded<Engine> behaves exactly like Engine — same constructor arguments,
+// same stream, same statistics at exhaustion — but runs options.shards
+// independent engines behind the frontier merge. Its one constructor plans
+// (a seed engine runs the root expansion, core/shard_plan.h) and then either
+// adopts K shard engines or, when the plan fails or K < 2, one passthrough
+// engine that runs with zero threads. What differs per policy is the
+// engine's static ShardRule (shard::Rule): whether a configuration may be
+// sharded at all, whether the item2 scatter fallback is sound, the merge
+// direction, a merge-level result cap, and NN-style auto-resume.
+//
+// Engine must be a best-first engine (core/best_first.h) whose options
+// struct derives from EngineOptions and whose constructor takes
+// (index, second, options, rest...): `second` is the other tree for the
+// joins and the query point for the neighbor engines.
+template <typename Engine>
+class Sharded {
  public:
-  using Result = ResultT;
+  static constexpr int Dim = Engine::kDim;
+  using Index = typename Engine::IndexType;
+  using Result = typename Engine::Result;
+  using Second = std::conditional_t<std::is_same_v<Result, JoinResult<Dim>>,
+                                    Index, Point<Dim>>;
+  using StatsShape =
+      std::decay_t<decltype(std::declval<const Engine&>().stats())>;
 
-  bool Next(ResultT* out) {
+  template <typename Options, typename... Rest>
+    requires std::derived_from<Options, EngineOptions>
+  Sharded(const Index& first, const Second& second, const Options& options,
+          const Rest&... rest)
+      : pools_(PoolsOf(first, second)),
+        base_node_misses_(PoolMisses(pools_)),
+        base_node_accesses_(PoolAccesses(pools_)),
+        base_io_retries_(PoolRetries(pools_)),
+        base_checksum_failures_(PoolChecksumFailures(pools_)) {
+    const shard::Rule rule = Engine::ShardRule(options, rest...);
+    const int requested = env_knobs::ResolveShards(options.shards);
+    shard::Plan<Dim> plan;
+    if (rule.eligible && requested >= 2) {
+      Options seed_options = options;
+      ForShard(&seed_options, /*shard=*/-1);
+      // One root expansion needs no classify pool.
+      if constexpr (requires { seed_options.num_threads; }) {
+        seed_options.num_threads = 1;
+      }
+      Engine seed(first, second, seed_options, rest...);
+      plan = shard::BuildFromSeed<Dim>(&seed, requested, rule.item2_fallback);
+      if (plan.ok()) plan.seed_stats = seed.engine_stats();
+    }
+    if (!plan.ok()) {
+      passthrough_ = std::make_unique<Engine>(first, second, options, rest...);
+      return;
+    }
+    std::vector<std::unique_ptr<Engine>> engines;
+    engines.reserve(plan.groups.size());
+    for (size_t k = 0; k < plan.groups.size(); ++k) {
+      Options shard_options = options;
+      ForShard(&shard_options, static_cast<int>(k));
+      auto engine =
+          std::make_unique<Engine>(first, second, shard_options, rest...);
+      engine->AdoptPlanEntries(plan.groups[k], plan.next_seq);
+      engines.push_back(std::move(engine));
+    }
+    seed_stats_ = plan.seed_stats;
+    stop_token_ = options.stop_token;
+    max_results_ = rule.max_results;
+    auto_resume_ = rule.auto_resume;
+    merge_.Init(std::move(engines), rule.descending);
+  }
+
+  bool Next(Result* out) {
     SDJ_CHECK(out != nullptr);
     if (passthrough_ != nullptr) return passthrough_->Next(out);
     if (auto_resume_ && status_ == JoinStatus::kSuspended) {
@@ -414,12 +448,12 @@ class ShardedEngine {
   // exhaustion the totals match the serial engine — see file comment for
   // the two excluded counters), and the pool-derived counters re-derived
   // from wrapper-owned baselines.
-  const JoinStats& stats() const {
-    if (passthrough_ != nullptr) return EngineStats(*passthrough_);
+  const JoinStats& engine_stats() const {
+    if (passthrough_ != nullptr) return passthrough_->engine_stats();
     merge_.Quiesce();
     merged_ = seed_stats_;
     for (const auto& slot : merge_.slots()) {
-      merged_.MergeFrom(EngineStats(*slot.engine));
+      merged_.MergeFrom(slot.engine->engine_stats());
     }
     merged_.pairs_reported = emitted_;
     merged_.node_io =
@@ -434,6 +468,19 @@ class ShardedEngine {
     if (status_ == JoinStatus::kOk) merge_.Resume();
     return merged_;
   }
+
+  // engine_stats() in the shape the engine's own stats() returns: JoinStats
+  // for the joins, IncNearestStats for the neighbor engines.
+  const StatsShape& stats() const {
+    if constexpr (std::is_same_v<StatsShape, JoinStats>) {
+      return engine_stats();
+    } else {
+      shaped_ = Engine::ShapeStats(engine_stats());
+      return shaped_;
+    }
+  }
+
+  bool suspended() const { return status() == JoinStatus::kSuspended; }
 
   // Live queue entries across every shard plus the buffered results in
   // flight — the serving layer's memory-cost proxy (DESIGN.md §14).
@@ -481,7 +528,7 @@ class ShardedEngine {
     merge_.Quiesce();
     out.reserve(merge_.shard_count());
     for (const auto& slot : merge_.slots()) {
-      out.push_back(EngineStats(*slot.engine));
+      out.push_back(slot.engine->engine_stats());
     }
     if (status_ == JoinStatus::kOk) merge_.Resume();
     return out;
@@ -525,8 +572,8 @@ class ShardedEngine {
       out->PutBool(slot.has_last);
       out->PutDouble(slot.last_key);
       out->PutU64(slot.buffer.size());
-      for (const ResultT& r : slot.buffer) {
-        WriteMergeResult<Dim>(out, r);
+      for (const Result& r : slot.buffer) {
+        shard::WriteMergeResult<Dim>(out, r);
       }
       snapshot::Blob engine_blob;
       if (!slot.engine->SaveState(&engine_blob)) return false;
@@ -578,8 +625,8 @@ class ShardedEngine {
       if (!in->ok()) return false;
       slot.buffer.clear();
       for (uint64_t i = 0; i < buffered; ++i) {
-        ResultT r;
-        if (!ReadMergeResult<Dim>(in, &r)) return false;
+        Result r;
+        if (!shard::ReadMergeResult<Dim>(in, &r)) return false;
         slot.buffer.push_back(std::move(r));
       }
       const uint64_t blob_size = in->GetCount(1);
@@ -611,45 +658,33 @@ class ShardedEngine {
     return true;
   }
 
- protected:
+ private:
   static constexpr uint32_t kMagic = 0x534A5348;  // "SJSH"
   static constexpr uint32_t kVersion = 1;
 
-  explicit ShardedEngine(std::vector<const storage::BufferPool*> pools)
-      : pools_(std::move(pools)),
-        base_node_misses_(PoolMisses(pools_)),
-        base_node_accesses_(PoolAccesses(pools_)),
-        base_io_retries_(PoolRetries(pools_)),
-        base_checksum_failures_(PoolChecksumFailures(pools_)) {}
-
-  ~ShardedEngine() = default;
-  ShardedEngine(const ShardedEngine&) = delete;
-  ShardedEngine& operator=(const ShardedEngine&) = delete;
-
-  // The engines' full JoinStats regardless of what their stats() returns
-  // (the neighbor engines surface IncNearestStats there).
-  static const JoinStats& EngineStats(const EngineT& engine) {
-    if constexpr (requires { engine.engine_stats(); }) {
-      return engine.engine_stats();
-    } else {
-      return engine.stats();
+  // The option rewrite shared by the plan's seed engine (shard < 0) and
+  // shard engine k: never re-shard, seed the root only in the seed engine,
+  // poll the stop token at the merge instead, and keep per-shard hybrid
+  // spill files apart.
+  static void ForShard(EngineOptions* options, int shard) {
+    options->shards = 1;
+    options->defer_seed = shard >= 0;
+    options->stop_token = util::StopToken{};
+    if (shard >= 0 && options->use_hybrid_queue &&
+        !options->hybrid.spill_path.empty()) {
+      options->hybrid.spill_path += ".shard" + std::to_string(shard);
     }
   }
 
-  // Derived-constructor outcomes: exactly one of these runs.
-  void AdoptPassthrough(std::unique_ptr<EngineT> engine) {
-    passthrough_ = std::move(engine);
-  }
-
-  void AdoptShards(std::vector<std::unique_ptr<EngineT>> engines,
-                   const JoinStats& seed_stats, bool descending,
-                   util::StopToken stop_token, uint64_t max_results,
-                   bool auto_resume) {
-    seed_stats_ = seed_stats;
-    stop_token_ = std::move(stop_token);
-    max_results_ = max_results;
-    auto_resume_ = auto_resume;
-    merge_.Init(std::move(engines), descending);
+  // Every buffer pool the engines read: both trees' for the joins, the
+  // tree's alone when the second argument is a query point.
+  static std::vector<const storage::BufferPool*> PoolsOf(
+      const Index& first, const Second& second) {
+    if constexpr (std::is_same_v<Second, Index>) {
+      return {&first.pool(), &second.pool()};
+    } else {
+      return {&first.pool()};
+    }
   }
 
   std::vector<const storage::BufferPool*> pools_;
@@ -664,8 +699,8 @@ class ShardedEngine {
   uint64_t io_retries_offset_ = 0;
   uint64_t checksum_failures_offset_ = 0;
 
-  std::unique_ptr<EngineT> passthrough_;
-  mutable FrontierMerge<Dim, EngineT, ResultT> merge_;
+  std::unique_ptr<Engine> passthrough_;
+  mutable shard::FrontierMerge<Dim, Engine, Result> merge_;
   JoinStats seed_stats_;
   util::StopToken stop_token_;
   uint64_t max_results_ = 0;  // merge-level result cap; 0 = unlimited
@@ -673,156 +708,28 @@ class ShardedEngine {
   uint64_t emitted_ = 0;
   JoinStatus status_ = JoinStatus::kOk;
   mutable JoinStats merged_;
+  mutable StatsShape shaped_;
 };
 
-}  // namespace sdj::shard
-
-namespace sdj {
-
-// ---- the sharded policy wrappers ----
-
-// Sharded incremental distance join: behaves exactly like DistanceJoin (same
-// constructor shape, same pair stream, same statistics at exhaustion) but
-// executes options.shards independent engines behind the frontier merge.
-// Falls back to one ordinary engine whenever the plan cannot prove a
-// partition: fewer than two distinct root-entry subtrees, an estimator
-// (whose pop-time cutoffs and restarts consult global state), reverse order
-// (reported distances are exact MINDIST while the traversal orders by
-// MAXDIST upper bounds, so per-shard result distances need not be monotone
-// and the merge has no sound key), an exact-object-distance callback (obr
-// resolution consults the engine's own queue head), or user object
-// predicates (which may be stateful and order-sensitive).
+// The public names of the five sharded policies.
 template <int Dim, typename Index = RTree<Dim>>
-class ShardedDistanceJoin
-    : public shard::ShardedEngine<Dim, DistanceJoin<Dim, Index>,
-                                  JoinResult<Dim>> {
-  using BaseT =
-      shard::ShardedEngine<Dim, DistanceJoin<Dim, Index>, JoinResult<Dim>>;
+using ShardedDistanceJoin = Sharded<DistanceJoin<Dim, Index>>;
 
- public:
-  ShardedDistanceJoin(const Index& tree1, const Index& tree2,
-                      const DistanceJoinOptions& options,
-                      JoinFilters<Dim> filters = JoinFilters<Dim>{},
-                      SemiJoinFilter semi_filter = SemiJoinFilter::kNone,
-                      SemiJoinBound semi_bound = SemiJoinBound::kNone,
-                      bool semi_estimation = false)
-      : BaseT({&tree1.pool(), &tree2.pool()}) {
-    const int requested = env_knobs::ResolveShards(options.shards);
-    const bool eligible = requested >= 2 && !options.estimate_max_distance &&
-                          !options.reverse_order &&
-                          options.exact_object_distance == nullptr &&
-                          filters.object_filter1 == nullptr &&
-                          filters.object_filter2 == nullptr;
-    shard::Plan<Dim> plan;
-    if (eligible) {
-      DistanceJoinOptions seed_options = options;
-      seed_options.num_threads = 1;
-      seed_options.shards = 1;
-      seed_options.defer_seed = false;
-      seed_options.stop_token = util::StopToken{};
-      DistanceJoin<Dim, Index> seed(tree1, tree2, seed_options, filters,
-                                    semi_filter, semi_bound, semi_estimation);
-      // Semi-joins partition S_o and the bound tables by first-item id, so
-      // only an item1 scatter is sound for them.
-      const bool symmetric = semi_filter == SemiJoinFilter::kNone &&
-                             semi_bound == SemiJoinBound::kNone &&
-                             !semi_estimation;
-      plan = shard::BuildFromSeed<Dim>(&seed, requested, symmetric);
-      if (plan.ok()) plan.seed_stats = seed.stats();
-    }
-    if (!plan.ok()) {
-      this->AdoptPassthrough(std::make_unique<DistanceJoin<Dim, Index>>(
-          tree1, tree2, options, std::move(filters), semi_filter, semi_bound,
-          semi_estimation));
-      return;
-    }
-    std::vector<std::unique_ptr<DistanceJoin<Dim, Index>>> engines;
-    engines.reserve(plan.groups.size());
-    for (size_t k = 0; k < plan.groups.size(); ++k) {
-      DistanceJoinOptions shard_options = options;
-      shard_options.shards = 1;
-      shard_options.defer_seed = true;
-      shard_options.stop_token = util::StopToken{};
-      if (shard_options.use_hybrid_queue &&
-          !shard_options.hybrid.spill_path.empty()) {
-        // Per-shard hybrid queues must not collide on one spill file.
-        shard_options.hybrid.spill_path += ".shard" + std::to_string(k);
-      }
-      auto engine = std::make_unique<DistanceJoin<Dim, Index>>(
-          tree1, tree2, shard_options, filters, semi_filter, semi_bound,
-          semi_estimation);
-      engine->AdoptPlanEntries(plan.groups[k], plan.next_seq);
-      engines.push_back(std::move(engine));
-    }
-    this->AdoptShards(std::move(engines), plan.seed_stats,
-                      /*descending=*/false, options.stop_token,
-                      /*max_results=*/options.max_pairs,
-                      /*auto_resume=*/false);
-  }
-};
-
-// Sharded distance semi-join: DistanceSemiJoin over a sharded engine. The
-// Outside filter dedupes the merged stream in the wrapper exactly as it
-// dedupes a serial stream; Inside filters and d_max bounds shard cleanly
-// because the plan scatters by item1 only.
+// The Outside filter dedupes the merged stream in the semi-join wrapper
+// exactly as it dedupes a serial stream; Inside filters and d_max bounds
+// shard cleanly because the plan scatters by item1 only.
 template <int Dim, typename Index = RTree<Dim>>
 using ShardedDistanceSemiJoin =
     DistanceSemiJoin<Dim, Index, ShardedDistanceJoin<Dim, Index>>;
 
-// Sharded incremental within-distance join. Every IncWithinJoin
-// configuration is eligible (fixed bound, no global mutable state); the
-// item2 scatter fallback applies when the root expansion descended the
-// second tree.
 template <int Dim, typename Index = RTree<Dim>>
-class ShardedWithinJoin
-    : public shard::ShardedEngine<Dim, IncWithinJoin<Dim, Index>,
-                                  JoinResult<Dim>> {
-  using BaseT =
-      shard::ShardedEngine<Dim, IncWithinJoin<Dim, Index>, JoinResult<Dim>>;
+using ShardedWithinJoin = Sharded<IncWithinJoin<Dim, Index>>;
 
- public:
-  ShardedWithinJoin(const Index& tree1, const Index& tree2,
-                    const WithinJoinOptions& options)
-      : BaseT({&tree1.pool(), &tree2.pool()}) {
-    const int requested = env_knobs::ResolveShards(options.shards);
-    shard::Plan<Dim> plan;
-    if (requested >= 2) {
-      WithinJoinOptions seed_options = options;
-      seed_options.num_threads = 1;
-      seed_options.shards = 1;
-      seed_options.defer_seed = false;
-      seed_options.stop_token = util::StopToken{};
-      IncWithinJoin<Dim, Index> seed(tree1, tree2, seed_options);
-      plan = shard::BuildFromSeed<Dim>(&seed, requested,
-                                       /*allow_item2_fallback=*/true);
-      if (plan.ok()) plan.seed_stats = seed.stats();
-    }
-    if (!plan.ok()) {
-      this->AdoptPassthrough(std::make_unique<IncWithinJoin<Dim, Index>>(
-          tree1, tree2, options));
-      return;
-    }
-    std::vector<std::unique_ptr<IncWithinJoin<Dim, Index>>> engines;
-    engines.reserve(plan.groups.size());
-    for (size_t k = 0; k < plan.groups.size(); ++k) {
-      WithinJoinOptions shard_options = options;
-      shard_options.shards = 1;
-      shard_options.defer_seed = true;
-      shard_options.stop_token = util::StopToken{};
-      if (shard_options.use_hybrid_queue &&
-          !shard_options.hybrid.spill_path.empty()) {
-        shard_options.hybrid.spill_path += ".shard" + std::to_string(k);
-      }
-      auto engine = std::make_unique<IncWithinJoin<Dim, Index>>(
-          tree1, tree2, shard_options);
-      engine->AdoptPlanEntries(plan.groups[k], plan.next_seq);
-      engines.push_back(std::move(engine));
-    }
-    this->AdoptShards(std::move(engines), plan.seed_stats,
-                      /*descending=*/false, options.stop_token,
-                      /*max_results=*/0, /*auto_resume=*/false);
-  }
-};
+template <int Dim, typename Index = RTree<Dim>>
+using ShardedIncNearest = Sharded<IncNearestNeighbor<Dim, Index>>;
+
+template <int Dim, typename Index = RTree<Dim>>
+using ShardedIncFarthest = Sharded<IncFarthestNeighbor<Dim, Index>>;
 
 }  // namespace sdj
 

@@ -36,6 +36,22 @@
 
 namespace sdj::shard {
 
+// What one engine configuration lets the sharded wrapper (core/shard_merge.h)
+// do. Every engine declares a static ShardRule(options, ...) taking its own
+// constructor arguments after the two leading ones.
+struct Rule {
+  // Whether a plan may be tried at all; false runs one passthrough engine.
+  bool eligible = true;
+  // Whether Scatter may re-key on item2 (see Scatter for when it is sound).
+  bool item2_fallback = false;
+  // Results stream farthest-first, so the merge pops the largest head.
+  bool descending = false;
+  // Merge-level result cap (0 = unlimited); each shard also stops there.
+  uint64_t max_results = 0;
+  // Neighbor-engine semantics: a kSuspended status self-clears in Next().
+  bool auto_resume = false;
+};
+
 // One computed shard plan. ok() == false means "run unsharded": planning
 // could not prove a K >= 2 partition for this configuration.
 template <int Dim>
@@ -103,8 +119,7 @@ Plan<Dim> Scatter(const std::vector<PairEntry<Dim>>& entries, int requested,
 // Pumps a freshly seeded engine one serial step and scatters its frontier.
 // `seed` must be a normally constructed (non-defer_seed) engine that has not
 // produced any result yet. On success the caller copies the seed's
-// statistics into plan.seed_stats (stats() for the join engines,
-// engine_stats() for the neighbor engines) before destroying it. A false
+// engine_stats() into plan.seed_stats before destroying it. A false
 // PumpPlanStep — empty tree, reportable head, skip, or I/O failure — or an
 // unreadable queue yields a non-ok() plan.
 template <int Dim, typename EngineT>

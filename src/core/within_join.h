@@ -15,49 +15,30 @@
 #include <cstdint>
 
 #include "core/best_first.h"
-#include "core/env_knobs.h"
-#include "core/hybrid_queue.h"
 #include "core/join_result.h"
 #include "core/pair_entry.h"
-#include "geometry/code_screen.h"
+#include "core/shard_plan.h"
 #include "geometry/metrics.h"
 #include "geometry/rect_batch.h"
-#include "obs/metrics.h"
 #include "rtree/rtree.h"
 #include "util/check.h"
-#include "util/stop_token.h"
 
 namespace sdj {
 
-struct WithinJoinOptions {
+// The shared engine options come from EngineOptions. Code screening
+// (DESIGN.md §17) engages whenever the tree is quantized: the within join
+// always has a fixed finite bound (epsilon) and the one-bound fast ladder.
+struct WithinJoinOptions : EngineOptions {
   double epsilon = 0.0;  // report pairs with distance <= epsilon (inclusive)
-  Metric metric = Metric::kEuclidean;
-  TieBreakPolicy tie_break = TieBreakPolicy::kDepthFirst;
-  bool use_hybrid_queue = false;  // Section 3.2 tiered queue
-  HybridQueueOptions hybrid;
-  // Sharded classify, output-identical to serial. 0 = SDJ_THREADS default.
-  int num_threads = 0;
-  // Shard count for the ShardedWithinJoin wrapper (DESIGN.md §18); a raw
-  // IncWithinJoin ignores it. 0 = SDJ_SHARDS default (1 when unset).
-  int shards = 0;
-  // Internal (core/shard_plan.h): skip root seeding; the plan adopts
-  // externally planned entries instead. Not for direct use.
-  bool defer_seed = false;
-  util::StopToken stop_token;    // cooperative suspension (DESIGN.md §11)
-  obs::Metrics* metrics = nullptr;  // observability sink (DESIGN.md §12)
-  // SIMD path for the batched kernels (DESIGN.md §15); bit-identical to
-  // scalar on every path, so it can never change the pair stream.
-  simd::Isa kernel_isa = simd::Isa::kAuto;
-  // Integer code screening on quantized pages (DESIGN.md §17). The within
-  // join always has a fixed finite bound (epsilon) and the one-bound fast
-  // ladder, so screening engages whenever the tree is quantized; the pair
-  // stream and pre-existing stats stay byte-identical either way.
-  bool screen_codes = code_screen::DefaultEnabled();
+  // Sharded classify, output-identical to serial (DESIGN.md §10).
+  int num_threads = 1;
 };
 
 // Usage mirrors DistanceJoin:
 //
-//   IncWithinJoin<2> join(roads, rivers, {.epsilon = 2.5});
+//   WithinJoinOptions options;
+//   options.epsilon = 2.5;
+//   IncWithinJoin<2> join(roads, rivers, options);
 //   JoinResult<2> pair;
 //   while (join.Next(&pair)) Use(pair);   // distances ascend, all <= eps
 template <int Dim, typename Index = RTree<Dim>>
@@ -71,11 +52,10 @@ class IncWithinJoin
  public:
   IncWithinJoin(const Index& tree1, const Index& tree2,
                 const WithinJoinOptions& options)
-      : Base({&tree1.pool(), &tree2.pool()}, MakeConfig(options)),
+      : Base({&tree1.pool(), &tree2.pool()}, options, options.num_threads),
         tree1_(tree1),
         tree2_(tree2),
-        options_(options),
-        isa_(simd::Resolve(options.kernel_isa)) {
+        options_(options) {
     SDJ_CHECK(options.epsilon >= 0.0);
     spec_.max_distance = options.epsilon;
     spec_.metric = options.metric;
@@ -99,12 +79,7 @@ class IncWithinJoin
     out->PutU32(kStateMagic);
     out->PutU32(kStateVersion);
     out->PutU32(static_cast<uint32_t>(Dim));
-    out->PutU8(static_cast<uint8_t>(options_.metric));
-    out->PutU8(static_cast<uint8_t>(options_.tie_break));
     out->PutDouble(options_.epsilon);
-    out->PutBool(options_.screen_codes);
-    out->PutBool(options_.use_hybrid_queue);
-    out->PutDouble(options_.hybrid.tier_width);
     out->PutU64(tree1_.size());
     out->PutU64(tree2_.size());
     return this->SaveCore(out);
@@ -114,16 +89,20 @@ class IncWithinJoin
     if (in->GetU32() != kStateMagic) return false;
     if (in->GetU32() != kStateVersion) return false;
     if (in->GetU32() != static_cast<uint32_t>(Dim)) return false;
-    if (in->GetU8() != static_cast<uint8_t>(options_.metric)) return false;
-    if (in->GetU8() != static_cast<uint8_t>(options_.tie_break)) return false;
     if (in->GetDouble() != options_.epsilon) return false;
-    if (in->GetBool() != options_.screen_codes) return false;
-    if (in->GetBool() != options_.use_hybrid_queue) return false;
-    if (in->GetDouble() != options_.hybrid.tier_width) return false;
     if (in->GetU64() != tree1_.size()) return false;
     if (in->GetU64() != tree2_.size()) return false;
     if (!in->ok()) return false;
     return this->RestoreCore(in);
+  }
+
+  // Sharded<IncWithinJoin> (core/shard_merge.h): every configuration is
+  // eligible (fixed bound, no global mutable state), and the join is
+  // symmetric, so the item2 scatter fallback is sound.
+  static shard::Rule ShardRule(const WithinJoinOptions&) {
+    shard::Rule rule;
+    rule.item2_fallback = true;
+    return rule;
   }
 
  private:
@@ -131,22 +110,14 @@ class IncWithinJoin
   using Entry = typename Base::Entry;
   using Base::batch1_, Base::batch2_, Base::refs1_, Base::refs2_;
   using Base::left_, Base::right_, Base::mind1_, Base::mind2_;
-  using Base::stats_, Base::MarkIoError, Base::PinDecode;
+  using Base::isa_, Base::stats_, Base::MarkIoError, Base::PinDecode;
   using Base::PinDecodeScreened;
 
   static constexpr uint32_t kStateMagic = 0x534A5745;  // "SJWE"
   // Version 2: screen_codes in the fingerprint, screening counters in the
   // shared stats section.
-  static constexpr uint32_t kStateVersion = 2;
-
-  static BestFirstConfig MakeConfig(const WithinJoinOptions& options) {
-    return BestFirstConfig{options.tie_break,
-                           options.use_hybrid_queue,
-                           options.hybrid,
-                           env_knobs::ResolveThreads(options.num_threads),
-                           options.stop_token,
-                           options.metrics};
-  }
+  // Version 3: the shared options are fingerprinted by the core section.
+  static constexpr uint32_t kStateVersion = 3;
 
   PopAction OnPopped(const Entry& e, JoinResult<Dim>* out) {
     if (!e.IsObjectPair()) return PopAction::kExpand;
@@ -208,7 +179,6 @@ class IncWithinJoin
   const Index& tree1_;
   const Index& tree2_;
   const WithinJoinOptions options_;
-  const simd::Isa isa_;  // kernel path, resolved once at construction
   typename Base::ClassifySpec spec_;
 };
 

@@ -25,10 +25,9 @@
 #include <vector>
 
 #include "core/best_first.h"
-#include "core/hybrid_queue.h"
 #include "core/join_result.h"
 #include "core/pair_entry.h"
-#include "geometry/code_screen.h"
+#include "core/shard_plan.h"
 #include "geometry/distance.h"
 #include "geometry/metrics.h"
 #include "geometry/point.h"
@@ -60,38 +59,18 @@ struct NeighborResult {
 };
 
 // Full options for the NN engines; the (tree, query, metric) constructors
-// remain as shorthand for default options.
-struct IncNeighborOptions {
-  Metric metric = Metric::kEuclidean;
-  TieBreakPolicy tie_break = TieBreakPolicy::kDepthFirst;
-  // Hybrid memory/disk priority queue (Section 3.2). Nearest-only: the
-  // farthest engine CHECKs this stays false.
-  bool use_hybrid_queue = false;
-  HybridQueueOptions hybrid;
-  // Cooperative suspension (DESIGN.md §11); also settable later through
-  // set_stop_token.
-  util::StopToken stop_token;
-  // Observability sink (DESIGN.md §12); also settable through set_metrics.
-  obs::Metrics* metrics = nullptr;
-  // SIMD path for the batched kernels (DESIGN.md §15); bit-identical to
-  // scalar on every path, so it can never change the neighbor stream.
-  simd::Isa kernel_isa = simd::Isa::kAuto;
+// remain as shorthand for default options. The shared engine options come
+// from EngineOptions; the hybrid queue is nearest-only (the farthest engine
+// CHECKs use_hybrid_queue stays false). The stop token and metrics sink are
+// also settable later through set_stop_token / set_metrics.
+struct IncNeighborOptions : EngineOptions {
   // Bounded nearest search: entries (nodes or objects) farther than this are
   // pruned at enqueue instead of waiting in the queue, and the stream ends
-  // (kExhausted) when the radius is out of candidates. Nearest-only: the
-  // farthest engine CHECKs this stays infinite (a far bound would truncate
-  // its stream from the wrong end).
+  // (kExhausted) when the radius is out of candidates. Code screening
+  // engages only when it is finite. Nearest-only: the farthest engine
+  // CHECKs this stays infinite (a far bound would truncate its stream from
+  // the wrong end).
   double max_distance = std::numeric_limits<double>::infinity();
-  // Integer code screening on quantized pages (DESIGN.md §17); engages when
-  // max_distance is finite. The neighbor stream and pre-existing stats stay
-  // byte-identical with it on or off.
-  bool screen_codes = code_screen::DefaultEnabled();
-  // Shard count for the ShardedIncNearest/ShardedIncFarthest wrappers
-  // (DESIGN.md §18); the raw engines ignore it. 0 = SDJ_SHARDS default.
-  int shards = 0;
-  // Internal (core/shard_plan.h): skip root seeding; the plan adopts
-  // externally planned entries instead. Not for direct use.
-  bool defer_seed = false;
 };
 
 // The shared engine; `Derived` is the concrete iterator class
@@ -122,18 +101,19 @@ class NeighborEngine
 
   // Traversal counters in the historical NN shape.
   const IncNearestStats& stats() const {
-    const JoinStats& s = Base::stats();
-    nn_stats_.distance_calcs = s.total_distance_calcs;
-    nn_stats_.queue_pushes = s.queue_pushes;
-    nn_stats_.max_queue_size = s.max_queue_size;
-    nn_stats_.nodes_expanded = s.nodes_expanded;
-    nn_stats_.neighbors_reported = s.pairs_reported;
+    nn_stats_ = ShapeStats(Base::stats());
     return nn_stats_;
   }
 
-  // The core's full counter set (I/O retries, checksum failures, batch
-  // kernel invocations, ... — everything stats() does not surface).
-  const JoinStats& engine_stats() const { return Base::stats(); }
+  static IncNearestStats ShapeStats(const JoinStats& s) {
+    IncNearestStats out;
+    out.distance_calcs = s.total_distance_calcs;
+    out.queue_pushes = s.queue_pushes;
+    out.max_queue_size = s.max_queue_size;
+    out.nodes_expanded = s.nodes_expanded;
+    out.neighbors_reported = s.pairs_reported;
+    return out;
+  }
 
   // ---- snapshot support (DESIGN.md §11) ----
 
@@ -144,13 +124,8 @@ class NeighborEngine
     out->PutU32(kStateMagic);
     out->PutU32(kStateVersion);
     out->PutU32(static_cast<uint32_t>(Dim));
-    out->PutU8(static_cast<uint8_t>(options_.metric));
     out->PutBool(kFarthest);
-    out->PutU8(static_cast<uint8_t>(options_.tie_break));
-    out->PutBool(options_.use_hybrid_queue);
-    out->PutDouble(options_.hybrid.tier_width);
     out->PutDouble(options_.max_distance);
-    out->PutBool(options_.screen_codes);
     for (int d = 0; d < Dim; ++d) out->PutDouble(query_[d]);
     out->PutBool(minimal_regions_);
     out->PutU64(tree_.size());
@@ -164,15 +139,10 @@ class NeighborEngine
     if (in->GetU32() != kStateMagic) return false;
     if (in->GetU32() != kStateVersion) return false;
     if (in->GetU32() != static_cast<uint32_t>(Dim)) return false;
-    if (in->GetU8() != static_cast<uint8_t>(options_.metric)) return false;
     if (in->GetBool() != kFarthest) return false;
-    if (in->GetU8() != static_cast<uint8_t>(options_.tie_break)) return false;
-    if (in->GetBool() != options_.use_hybrid_queue) return false;
-    if (in->GetDouble() != options_.hybrid.tier_width) return false;
     // NaN-proof compare (an infinite bound round-trips exactly; NaN is
     // rejected at construction).
     if (in->GetDouble() != options_.max_distance) return false;
-    if (in->GetBool() != options_.screen_codes) return false;
     for (int d = 0; d < Dim; ++d) {
       if (in->GetDouble() != query_[d]) return false;
     }
@@ -182,11 +152,24 @@ class NeighborEngine
     return this->RestoreCore(in);
   }
 
+  // Sharded<IncNearestNeighbor / IncFarthestNeighbor> (core/shard_merge.h):
+  // every configuration is eligible. The query side is a pseudo-item (every
+  // entry's item2 coincides), so only the item1 scatter can partition; the
+  // farthest stream merges descending, and a suspended stream self-clears
+  // at the next Next() as the engines' own does.
+  static shard::Rule ShardRule(const IncNeighborOptions&) {
+    shard::Rule rule;
+    rule.descending = kFarthest;
+    rule.auto_resume = true;
+    return rule;
+  }
+
  protected:
   using Item = typename Base::Item;
   using Entry = typename Base::Entry;
   using Base::batch1_;
   using Base::config_;
+  using Base::isa_;
   using Base::mind1_;
   using Base::next_seq_;
   using Base::queue_;
@@ -199,12 +182,11 @@ class NeighborEngine
 
   NeighborEngine(const Index& tree, const Point<Dim>& query,
                  const IncNeighborOptions& options)
-      : Base({&tree.pool()}, MakeConfig(options)),
+      : Base({&tree.pool()}, options),
         tree_(tree),
         query_(query),
         options_(options),
-        minimal_regions_(tree.minimal_bounding_regions()),
-        isa_(simd::Resolve(options.kernel_isa)) {
+        minimal_regions_(tree.minimal_bounding_regions()) {
     // The hybrid queue buckets by key and CHECKs key == distance; farthest
     // keys are negated, so the tiered queue is nearest-only (mirroring the
     // join's hybrid-excludes-reverse restriction).
@@ -300,18 +282,8 @@ class NeighborEngine
   static constexpr uint32_t kStateMagic = 0x534A4E4E;  // "SJNN"
   // Version 2: max_distance + screen_codes in the fingerprint, screening
   // counters in the shared stats section.
-  static constexpr uint32_t kStateVersion = 2;
-
-  static BestFirstConfig MakeConfig(const IncNeighborOptions& options) {
-    BestFirstConfig config;
-    config.tie_break = options.tie_break;
-    config.use_hybrid_queue = options.use_hybrid_queue;
-    config.hybrid = options.hybrid;
-    config.num_threads = 1;  // NN expansions are fan-out-sized; no sharding
-    config.stop_token = options.stop_token;
-    config.metrics = options.metrics;
-    return config;
-  }
+  // Version 3: the shared options are fingerprinted by the core section.
+  static constexpr uint32_t kStateVersion = 3;
 
   void Seed() {
     if (tree_.empty()) return;
@@ -338,10 +310,8 @@ class NeighborEngine
   // (MINDIST to it equals the point distance in every metric).
   Rect<Dim> query_rect_;
   const IncNeighborOptions options_;
-  // Runtime minimality of the tree's node regions (snapshot fingerprint) and
-  // the kernel path, both resolved once at construction.
+  // Runtime minimality of the tree's node regions (snapshot fingerprint).
   const bool minimal_regions_;
-  const simd::Isa isa_;
   mutable IncNearestStats nn_stats_;
 };
 

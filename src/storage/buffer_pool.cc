@@ -30,7 +30,7 @@ BufferPool::BufferPool(std::unique_ptr<PageFile> file, uint32_t capacity_pages,
       retry_(retry) {
   SDJ_CHECK(capacity_ > 0);
   SDJ_CHECK(retry_.max_attempts >= 1);
-  frames_.resize(capacity_);
+  frames_ = std::make_unique<Frame[]>(capacity_);
   free_frames_.reserve(capacity_);
   for (uint32_t i = 0; i < capacity_; ++i) {
     frames_[i].data = std::make_unique<char[]>(page_size_);
@@ -107,7 +107,7 @@ char* BufferPool::TryNewPage(PageId* id, IoStatus* status) {
   const uint32_t frame_index = GrabFrame(status);
   if (frame_index == kNoFrame) return nullptr;
   Frame& frame = frames_[frame_index];
-  frame.page_id = *id;
+  frame.page_id.store(*id, std::memory_order_relaxed);
   frame.pin_count = 1;
   frame.dirty = true;  // fresh pages must reach the file eventually
   frame.busy = false;
@@ -178,7 +178,7 @@ char* BufferPool::TryPin(PageId id, IoStatus* status) {
     shard.cv.notify_all();
     return nullptr;
   }
-  frame.page_id = id;
+  frame.page_id.store(id, std::memory_order_relaxed);
   frame.pin_count = 1;
   frame.dirty = false;
   frame.busy = false;
@@ -260,7 +260,7 @@ void BufferPool::Invalidate() {
       frames_[victim].in_lru = false;
       // Synchronized: page_id is never written while the frame sits in the
       // LRU list, and the Unpin that queued it published it via lru_mu_.
-      victim_page = frames_[victim].page_id;
+      victim_page = frames_[victim].page_id.load(std::memory_order_relaxed);
     }
     EvictVictim(victim, victim_page, /*to_free_list=*/true);
   }
@@ -315,7 +315,7 @@ uint32_t BufferPool::GrabFrame(IoStatus* status) {
         victim = lru_.front();
         lru_.pop_front();
         frames_[victim].in_lru = false;
-        victim_page = frames_[victim].page_id;  // see Invalidate
+        victim_page = frames_[victim].page_id.load(std::memory_order_relaxed);
       }
       ++attempts;
       switch (EvictVictim(victim, victim_page, /*to_free_list=*/false)) {
@@ -375,7 +375,7 @@ BufferPool::EvictResult BufferPool::EvictVictim(uint32_t victim,
     frame.dirty = false;
   }
   shard.table.erase(page_id);
-  frame.page_id = kInvalidPageId;
+  frame.page_id.store(kInvalidPageId, std::memory_order_relaxed);
   shard.cv.notify_all();  // waiters re-find and take the miss path
   lock.unlock();
   if (to_free_list) {

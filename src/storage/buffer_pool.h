@@ -134,8 +134,11 @@ class BufferPool {
   struct Frame {
     std::unique_ptr<char[]> data;
     // Stable while the frame is published in a shard table; changed only by
-    // the exclusive owner of an unpublished frame.
-    PageId page_id = kInvalidPageId;
+    // the exclusive owner of an unpublished frame. Atomic because GrabFrame
+    // reads it as a hint right after its LRU pop while an evictor that
+    // popped the frame earlier may be resetting it; EvictVictim re-checks
+    // the hint under the shard lock.
+    std::atomic<PageId> page_id{kInvalidPageId};
     // Guarded by the owning shard's mutex.
     uint32_t pin_count = 0;
     bool dirty = false;
@@ -203,7 +206,7 @@ class BufferPool {
   const uint32_t capacity_;
   const uint32_t page_size_;
   const RetryPolicy retry_;
-  std::vector<Frame> frames_;
+  std::unique_ptr<Frame[]> frames_;  // capacity_ frames, never moved
 
   mutable std::mutex file_mu_;  // serializes every PageFile operation
   std::mutex lru_mu_;           // guards lru_, free_frames_, in_lru/lru_pos

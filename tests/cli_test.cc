@@ -16,6 +16,7 @@
 
 #include <gtest/gtest.h>
 
+#include "join_test_util.h"
 #include "storage/checksum.h"
 
 std::string g_cli_path;
@@ -102,8 +103,8 @@ void CorruptSnapshotPage(const std::string& path, uint32_t page) {
 class CliTest : public ::testing::Test {
  protected:
   static void SetUpTestSuite() {
-    a_csv_ = ::testing::TempDir() + "/cli_a.csv";
-    b_csv_ = ::testing::TempDir() + "/cli_b.csv";
+    a_csv_ = test::TempPath("cli_a.csv");
+    b_csv_ = test::TempPath("cli_b.csv");
     ASSERT_EQ(RunCli("gen --out=" + a_csv_ + " --n=400 --seed=11").exit_code,
               0);
     ASSERT_EQ(RunCli("gen --out=" + b_csv_ + " --n=400 --seed=12").exit_code,
@@ -145,7 +146,7 @@ TEST_F(CliTest, SuspendThenResumeReproducesTheUninterruptedStream) {
   const std::vector<std::string> expected = PairLines(reference.output);
   ASSERT_EQ(expected.size(), 300u);
 
-  const std::string snap = ::testing::TempDir() + "/cli_join.snap";
+  const std::string snap = test::TempPath("cli_join.snap");
   std::remove(snap.c_str());
   const RunResult suspended =
       RunCli(JoinArgs("--suspend-after=120 --snapshot=" + snap));
@@ -173,7 +174,7 @@ TEST_F(CliTest, CorruptNewestSnapshotFallsBackToPreviousCheckpoint) {
   ASSERT_EQ(reference.exit_code, 0);
   const std::vector<std::string> expected = PairLines(reference.output);
 
-  const std::string snap = ::testing::TempDir() + "/cli_fallback.snap";
+  const std::string snap = test::TempPath("cli_fallback.snap");
   std::remove(snap.c_str());
   // Checkpoints at pairs 50 (epoch 1) and 100 (epoch 2); the suspension
   // snapshot at pair 120 is epoch 3, stored in header slot 3 & 1 == 1.
@@ -196,7 +197,7 @@ TEST_F(CliTest, CorruptNewestSnapshotFallsBackToPreviousCheckpoint) {
 }
 
 TEST_F(CliTest, ResumeOnEmptySnapshotStoreWarnsAndStartsFromScratch) {
-  const std::string snap = ::testing::TempDir() + "/cli_empty.snap";
+  const std::string snap = test::TempPath("cli_empty.snap");
   std::remove(snap.c_str());
   const RunResult r = RunCli(JoinArgs("--resume --snapshot=" + snap));
   EXPECT_EQ(r.exit_code, 0);
@@ -208,7 +209,7 @@ TEST_F(CliTest, TransientFaultsWithCheckpointsStillResumeCleanly) {
   const RunResult reference = RunCli(JoinArgs(""));
   ASSERT_EQ(reference.exit_code, 0);
 
-  const std::string snap = ::testing::TempDir() + "/cli_faults.snap";
+  const std::string snap = test::TempPath("cli_faults.snap");
   std::remove(snap.c_str());
   // Transient faults cover the trees AND the snapshot store; bounded
   // retries recover both, so the stream still matches the clean run.
@@ -269,7 +270,7 @@ TEST_F(CliTest, WithinJoinSuspendResumeAcrossThreadCounts) {
   const std::vector<std::string> expected = PairLines(reference.output);
   ASSERT_GT(expected.size(), 60u);
 
-  const std::string snap = ::testing::TempDir() + "/cli_within.snap";
+  const std::string snap = test::TempPath("cli_within.snap");
   std::remove(snap.c_str());
   const RunResult suspended =
       RunCli(WithinArgs("--suspend-after=40 --snapshot=" + snap));
@@ -303,7 +304,7 @@ TEST_F(CliTest, SemiJoinSuspendResumeMatrix) {
   const std::vector<std::string> expected = PairLines(reference.output);
   ASSERT_EQ(expected.size(), 150u);
 
-  const std::string snap = ::testing::TempDir() + "/cli_semi.snap";
+  const std::string snap = test::TempPath("cli_semi.snap");
   std::remove(snap.c_str());
   const RunResult suspended = RunCli(
       SemiArgs("--suspend-after=60 --checkpoint-every=25 --snapshot=" + snap));
@@ -366,7 +367,7 @@ TEST_F(CliTest, ServeUnderPressureAndFaultsCompletesAllSessions) {
 // --resume recovers the table and each stream continues exactly where it
 // stopped — the continuation matches the solo run's suffix.
 TEST_F(CliTest, ServeSuspendResumeContinuesEveryStream) {
-  const std::string state_dir = ::testing::TempDir() + "/cli_serve_state";
+  const std::string state_dir = test::TempPath("cli_serve_state");
   ::mkdir(state_dir.c_str(), 0755);
   std::remove((state_dir + "/sessions.tbl").c_str());
   for (int i = 1; i <= 4; ++i) {
@@ -416,7 +417,7 @@ TEST_F(CliTest, ScrubUsageAndUnreadableFileExitCodes) {
   EXPECT_EQ(RunScrub("--file=x --nonsense").exit_code, 2);
   // A missing file is unreadable (3) and must NOT be created by the scrub
   // (SnapshotStore::Open would create one).
-  const std::string missing = ::testing::TempDir() + "/scrub_missing.snap";
+  const std::string missing = test::TempPath("scrub_missing.snap");
   std::remove(missing.c_str());
   EXPECT_EQ(RunScrub("--file=" + missing).exit_code, 3);
   struct stat st;
@@ -424,7 +425,7 @@ TEST_F(CliTest, ScrubUsageAndUnreadableFileExitCodes) {
 }
 
 TEST_F(CliTest, ScrubCleanSnapshotStoreExitsZero) {
-  const std::string snap = ::testing::TempDir() + "/scrub_clean.snap";
+  const std::string snap = test::TempPath("scrub_clean.snap");
   BuildThreeEpochSnapshot(snap, JoinArgs(""));
   const RunResult r = RunScrub("--file=" + snap);
   EXPECT_EQ(r.exit_code, 0) << r.output;
@@ -434,7 +435,7 @@ TEST_F(CliTest, ScrubCleanSnapshotStoreExitsZero) {
 }
 
 TEST_F(CliTest, ScrubDetectsTornSlotRepairsAndConverges) {
-  const std::string snap = ::testing::TempDir() + "/scrub_torn.snap";
+  const std::string snap = test::TempPath("scrub_torn.snap");
   BuildThreeEpochSnapshot(snap, JoinArgs(""));
   // Epoch 3 (the newest) lives in slot 1; flipping a byte of its first
   // payload page (page 3) tears the slot. (Tearing the header page instead
@@ -463,7 +464,7 @@ TEST_F(CliTest, ScrubDetectsTornSlotRepairsAndConverges) {
 }
 
 TEST_F(CliTest, ScrubDetectsOrphanedTailPagesAndTruncatesThem) {
-  const std::string snap = ::testing::TempDir() + "/scrub_orphan.snap";
+  const std::string snap = test::TempPath("scrub_orphan.snap");
   BuildThreeEpochSnapshot(snap, JoinArgs(""));
   // Append two whole garbage pages beyond what any slot references — the
   // abandoned remains of a larger commit.
@@ -490,7 +491,7 @@ TEST_F(CliTest, ScrubDetectsOrphanedTailPagesAndTruncatesThem) {
 }
 
 TEST_F(CliTest, ScrubPagesKindDetectsCorruptInteriorPages) {
-  const std::string snap = ::testing::TempDir() + "/scrub_pages.snap";
+  const std::string snap = test::TempPath("scrub_pages.snap");
   BuildThreeEpochSnapshot(snap, JoinArgs(""));
   const RunResult clean = RunScrub("--file=" + snap + " --kind=pages");
   EXPECT_EQ(clean.exit_code, 0) << clean.output;
@@ -502,7 +503,7 @@ TEST_F(CliTest, ScrubPagesKindDetectsCorruptInteriorPages) {
 }
 
 TEST_F(CliTest, ScrubPagesKindDetectsLeakedPagesAndTruncates) {
-  const std::string snap = ::testing::TempDir() + "/scrub_leak.snap";
+  const std::string snap = test::TempPath("scrub_leak.snap");
   BuildThreeEpochSnapshot(snap, JoinArgs(""));
   const RunResult sized = RunScrub("--file=" + snap + " --kind=pages");
   ASSERT_EQ(sized.exit_code, 0) << sized.output;
@@ -528,7 +529,7 @@ TEST_F(CliTest, ScrubPagesKindDetectsLeakedPagesAndTruncates) {
 }
 
 TEST_F(CliTest, ScrubSubcommandOfCliMatchesStandaloneBinary) {
-  const std::string snap = ::testing::TempDir() + "/scrub_subcmd.snap";
+  const std::string snap = test::TempPath("scrub_subcmd.snap");
   BuildThreeEpochSnapshot(snap, JoinArgs(""));
   const RunResult standalone = RunScrub("--file=" + snap);
   const RunResult subcommand = RunCli("scrub --file=" + snap);

@@ -61,10 +61,6 @@ constexpr CrashTearMode kAllTearModes[] = {CrashTearMode::kPartialPage,
                                            CrashTearMode::kGarbageTail,
                                            CrashTearMode::kDroppedOp};
 
-std::string TempPath(const std::string& name) {
-  return ::testing::TempDir() + "/" + name;
-}
-
 std::string ReadFileBytes(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
   return std::string(std::istreambuf_iterator<char>(in),
@@ -220,7 +216,7 @@ TEST(CrashPointSweep, SnapshotCommitEveryOpRecoversToCommittedEpoch) {
   uint64_t covered = 0;
   for (const CrashTearMode mode : kAllTearModes) {
     const std::string path =
-        TempPath(std::string("crash_snap_") + CrashTearModeName(mode));
+        test::TempPath(std::string("crash_snap_") + CrashTearModeName(mode));
     snapshot::SnapshotStoreOptions options;
     options.path = path;
     options.page_size = 256;
@@ -314,7 +310,7 @@ TEST(CrashPointSweep, SessionTableCommitDropsOnlyTheUncommittedDelta) {
   uint64_t covered = 0;
   for (const CrashTearMode mode : kAllTearModes) {
     const std::string path =
-        TempPath(std::string("crash_table_") + CrashTearModeName(mode));
+        test::TempPath(std::string("crash_table_") + CrashTearModeName(mode));
     snapshot::SnapshotStoreOptions options;
     options.path = path;
     options.page_size = 256;
@@ -432,7 +428,7 @@ TEST(CrashPointSweep, CursorCheckpointCrashResumesStreamAndStatsIdentical) {
   }
   ASSERT_GT(ref.size(), kPrefix);
 
-  const std::string path = TempPath("crash_cursor.snap");
+  const std::string path = test::TempPath("crash_cursor.snap");
   CursorOptions cursor_options;
   cursor_options.snapshot_path = path;
   cursor_options.page_size = 512;
@@ -539,7 +535,7 @@ TEST(CrashPoint, ResumeLatestWithEverySlotCorruptFailsSoftlyAndLeavesStore) {
     while (join.Next(&r)) ref.push_back(AsTuple(r));
   }
 
-  const std::string path = TempPath("crash_all_slots.snap");
+  const std::string path = test::TempPath("crash_all_slots.snap");
   std::remove(path.c_str());
   CursorOptions cursor_options;
   cursor_options.snapshot_path = path;
@@ -616,7 +612,7 @@ TEST(CrashPointSweep, HybridSpillCrashNeverAbortsNeverSilentlyDropsPairs) {
   std::vector<double> expected = distances;
   std::sort(expected.begin(), expected.end());
 
-  const std::string path = TempPath("crash_spill.pages");
+  const std::string path = test::TempPath("crash_spill.pages");
   HybridQueueOptions options;
   options.tier_width = 2.0;
   options.page_size = 512;
@@ -687,7 +683,7 @@ TEST(CrashPointSweep, HybridSpillCrashNeverAbortsNeverSilentlyDropsPairs) {
 TEST(CrashPoint, DistanceJoinSpillCrashIsReportedNeverSilent) {
   const auto pa = MakePoints(60, 505);
   const auto pb = MakePoints(60, 606);
-  const std::string path = TempPath("crash_join_spill.pages");
+  const std::string path = test::TempPath("crash_join_spill.pages");
 
   DistanceJoinOptions options;
   options.use_hybrid_queue = true;
@@ -796,7 +792,7 @@ TEST(CrashPointDeathTest, RTreeBuildCrashDiesScrubsAndRebuilds) {
   // threadsafe style re-executes the binary instead.
   ::testing::FLAGS_gtest_death_test_style = "threadsafe";
   const auto points = MakePoints(300, 31);
-  const std::string path = TempPath("crash_rtree.pages");
+  const std::string path = test::TempPath("crash_rtree.pages");
   RTreeOptions base;
   base.page_size = 512;
   base.buffer_pages = 8;  // small pool: the build writes throughout

@@ -6,15 +6,13 @@
 
 #include <gtest/gtest.h>
 
+#include "join_test_util.h"
+
 namespace sdj::data {
 namespace {
 
-std::string TempPath(const std::string& name) {
-  return ::testing::TempDir() + "/" + name;
-}
-
 TEST(DatasetIo, RoundTrip) {
-  const std::string path = TempPath("roundtrip.csv");
+  const std::string path = test::TempPath("roundtrip.csv");
   const std::vector<Point<2>> points = {
       {1.5, 2.5}, {-3.25, 0.0}, {1e-9, 12345678.9}};
   ASSERT_TRUE(SavePointsCsv(path, points));
@@ -28,7 +26,7 @@ TEST(DatasetIo, RoundTrip) {
 }
 
 TEST(DatasetIo, EmptyFileLoadsEmpty) {
-  const std::string path = TempPath("empty.csv");
+  const std::string path = test::TempPath("empty.csv");
   ASSERT_TRUE(SavePointsCsv(path, {}));
   std::vector<Point<2>> loaded;
   ASSERT_TRUE(LoadPointsCsv(path, &loaded));
@@ -36,7 +34,7 @@ TEST(DatasetIo, EmptyFileLoadsEmpty) {
 }
 
 TEST(DatasetIo, SkipsCommentsAndBlankLines) {
-  const std::string path = TempPath("comments.csv");
+  const std::string path = test::TempPath("comments.csv");
   std::FILE* f = std::fopen(path.c_str(), "w");
   ASSERT_NE(f, nullptr);
   std::fputs("# header comment\n1,2\n\n3,4\n", f);
@@ -49,7 +47,7 @@ TEST(DatasetIo, SkipsCommentsAndBlankLines) {
 }
 
 TEST(DatasetIo, MalformedLineFails) {
-  const std::string path = TempPath("malformed.csv");
+  const std::string path = test::TempPath("malformed.csv");
   std::FILE* f = std::fopen(path.c_str(), "w");
   ASSERT_NE(f, nullptr);
   std::fputs("1,2\nnot-a-number\n3,4\n", f);
@@ -61,11 +59,11 @@ TEST(DatasetIo, MalformedLineFails) {
 
 TEST(DatasetIo, MissingFileFails) {
   std::vector<Point<2>> loaded;
-  EXPECT_FALSE(LoadPointsCsv(TempPath("does-not-exist.csv"), &loaded));
+  EXPECT_FALSE(LoadPointsCsv(test::TempPath("does-not-exist.csv"), &loaded));
 }
 
 TEST(DatasetIo, MissingCommaFails) {
-  const std::string path = TempPath("nocomma.csv");
+  const std::string path = test::TempPath("nocomma.csv");
   std::FILE* f = std::fopen(path.c_str(), "w");
   ASSERT_NE(f, nullptr);
   std::fputs("1 2\n", f);

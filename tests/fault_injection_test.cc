@@ -14,6 +14,7 @@
 #include "core/semi_join.h"
 #include "core/within_join.h"
 #include "data/generators.h"
+#include "join_test_util.h"
 #include "nn/inc_farthest.h"
 #include "nn/inc_nearest.h"
 #include "rtree/rtree.h"
@@ -303,10 +304,6 @@ TEST(BufferPoolRetry, EvictionWriteBackFailureIsSurfaced) {
 
 // --- joins over faulty storage ----------------------------------------------
 
-std::string TempPath(const std::string& name) {
-  return ::testing::TempDir() + "/" + name;
-}
-
 // Builds a fault-free file-backed R-tree over `points` and flushes it.
 void BuildTreeFile(const std::string& path,
                    const std::vector<Point<2>>& points) {
@@ -356,8 +353,8 @@ void ExpectSameResults(const std::vector<JoinResult<2>>& a,
 class FaultyJoinTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    path_a_ = TempPath("faulty_join_a.pages");
-    path_b_ = TempPath("faulty_join_b.pages");
+    path_a_ = test::TempPath("faulty_join_a.pages");
+    path_b_ = test::TempPath("faulty_join_b.pages");
     points_a_ = data::GenerateUniform(600, Rect<2>({0, 0}, {1000, 1000}), 11);
     points_b_ = data::GenerateUniform(600, Rect<2>({0, 0}, {1000, 1000}), 12);
     BuildTreeFile(path_a_, points_a_);

@@ -19,14 +19,13 @@
 
 #include "core/distance_join.h"
 #include "core/semi_join.h"
+#include "core/shard_merge.h"
 #include "core/within_join.h"
 #include "data/generators.h"
 #include "geometry/distance.h"
 #include "join_test_util.h"
-#include "core/shard_merge.h"
 #include "nn/inc_farthest.h"
 #include "nn/inc_nearest.h"
-#include "nn/sharded_neighbor.h"
 #include "rtree/rtree.h"
 
 namespace sdj {

@@ -9,6 +9,7 @@
 
 #include "core/pair_entry.h"
 #include "core/pair_queue.h"
+#include "join_test_util.h"
 #include "util/rng.h"
 
 namespace sdj {
@@ -149,7 +150,7 @@ TEST(HybridPairQueue, FileBackedSpill) {
   HybridQueueOptions options;
   options.tier_width = 1.0;
   options.page_size = 512;
-  options.spill_path = ::testing::TempDir() + "/sdj_hybrid_spill.bin";
+  options.spill_path = test::TempPath("sdj_hybrid_spill.bin");
   HybridPairQueue<2> q(PairEntryCompare<2>{}, options);
   std::vector<double> distances;
   Rng rng(23);

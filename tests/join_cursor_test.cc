@@ -34,10 +34,6 @@ namespace {
 
 using test::BuildPointTree;
 
-std::string TempPath(const std::string& name) {
-  return ::testing::TempDir() + "/" + name;
-}
-
 snapshot::SnapshotStoreOptions StoreOptions(const std::string& path = "",
                                             uint32_t page_size = 4096) {
   snapshot::SnapshotStoreOptions options;
@@ -233,7 +229,7 @@ TEST(SnapshotStore, MultiPagePayloadRoundTrips) {
 }
 
 TEST(SnapshotStore, SurvivesReopen) {
-  const std::string path = TempPath("snap_reopen.bin");
+  const std::string path = test::TempPath("snap_reopen.bin");
   std::remove(path.c_str());
   {
     auto store = snapshot::SnapshotStore::Open(StoreOptions(path));
@@ -268,7 +264,7 @@ void CorruptPage(const std::string& path, uint32_t page_size, uint32_t page) {
 }
 
 TEST(SnapshotStore, TornSlotFallsBackToPreviousSnapshot) {
-  const std::string path = TempPath("snap_torn.bin");
+  const std::string path = test::TempPath("snap_torn.bin");
   std::remove(path.c_str());
   const uint32_t page_size = 4096;
   {
@@ -294,7 +290,7 @@ TEST(SnapshotStore, TornSlotFallsBackToPreviousSnapshot) {
 }
 
 TEST(SnapshotStore, TornPayloadPageFallsBack) {
-  const std::string path = TempPath("snap_torn_payload.bin");
+  const std::string path = test::TempPath("snap_torn_payload.bin");
   std::remove(path.c_str());
   {
     auto store = snapshot::SnapshotStore::Open(StoreOptions(path));
@@ -312,7 +308,7 @@ TEST(SnapshotStore, TornPayloadPageFallsBack) {
 }
 
 TEST(SnapshotStore, BothSlotsCorruptMeansNoSnapshot) {
-  const std::string path = TempPath("snap_both_torn.bin");
+  const std::string path = test::TempPath("snap_both_torn.bin");
   std::remove(path.c_str());
   {
     auto store = snapshot::SnapshotStore::Open(StoreOptions(path));
@@ -333,7 +329,7 @@ TEST(SnapshotStore, BothSlotsCorruptMeansNoSnapshot) {
 // corrupt epochs — the serving layer provisions S > 2 so one bad burst
 // cannot strand a session (DESIGN.md §14).
 TEST(SnapshotStore, FourSlotsSurviveThreeConsecutiveCorruptEpochs) {
-  const std::string path = TempPath("snap_multi_torn.bin");
+  const std::string path = test::TempPath("snap_multi_torn.bin");
   std::remove(path.c_str());
   snapshot::SnapshotStoreOptions options = StoreOptions(path);
   options.num_slots = 4;
@@ -367,7 +363,7 @@ TEST(SnapshotStore, FourSlotsSurviveThreeConsecutiveCorruptEpochs) {
 }
 
 TEST(SnapshotStore, DeadDiskWriteFailsButPreviousSnapshotSurvives) {
-  const std::string path = TempPath("snap_dead_disk.bin");
+  const std::string path = test::TempPath("snap_dead_disk.bin");
   std::remove(path.c_str());
   {
     auto store = snapshot::SnapshotStore::Open(StoreOptions(path));
@@ -746,9 +742,9 @@ TEST(JoinCursor, CheckpointEveryAndSuspendCheckpoint) {
 // stream overlaps the crashed run's tail (at-least-once delivery) and the
 // combination must reproduce the uninterrupted result exactly.
 TEST(JoinCursor, CrashRecoveryAcrossReopenedTrees) {
-  const std::string snap_path = TempPath("cursor_crash.snap");
-  const std::string tree_a_path = TempPath("cursor_crash_a.pages");
-  const std::string tree_b_path = TempPath("cursor_crash_b.pages");
+  const std::string snap_path = test::TempPath("cursor_crash.snap");
+  const std::string tree_a_path = test::TempPath("cursor_crash_a.pages");
+  const std::string tree_b_path = test::TempPath("cursor_crash_b.pages");
   std::remove(snap_path.c_str());
   std::remove(tree_a_path.c_str());
   std::remove(tree_b_path.c_str());
@@ -855,7 +851,7 @@ TEST(JoinCursor, FuzzTornCheckpointFallsBackToPreviousSnapshot) {
 
   for (int round = 0; round < 4; ++round) {
     const std::string path =
-        TempPath("cursor_torn_" + std::to_string(round) + ".snap");
+        test::TempPath("cursor_torn_" + std::to_string(round) + ".snap");
     std::remove(path.c_str());
     const uint64_t kill_after = 20 + rng() % 60;
     SCOPED_TRACE(::testing::Message() << "kill_after=" << kill_after);
@@ -1014,7 +1010,7 @@ TEST(JoinCursor, DefaultCommitPolicyFailsOnceWithoutRetrying) {
 // lands on the third-newest checkpoint and the combined stream still
 // matches the uninterrupted reference.
 TEST(JoinCursor, MultiSlotResumeFallsBackPastConsecutiveCorruptEpochs) {
-  const std::string path = TempPath("cursor_multislot.snap");
+  const std::string path = test::TempPath("cursor_multislot.snap");
   std::remove(path.c_str());
   const auto a = MakePoints(80, 75);
   const auto b = MakePoints(80, 76);
@@ -1091,7 +1087,7 @@ TEST(JoinCursor, WorksWithSemiJoinEngine) {
   DistanceSemiJoin<2> reference(ref_ta, ref_tb, SemiJoinOptions{});
   const std::vector<Pair> expected = Drain(&reference);
 
-  const std::string path = TempPath("cursor_semi.snap");
+  const std::string path = test::TempPath("cursor_semi.snap");
   std::remove(path.c_str());
   std::vector<Pair> combined;
   {
@@ -1281,7 +1277,7 @@ TEST(JoinCursor, WorksWithNearestNeighborEngine) {
   IncNearestNeighbor<2>::Result hit;
   while (reference.Next(&hit)) expected.push_back({hit.id, hit.distance});
 
-  const std::string path = TempPath("cursor_nn.snap");
+  const std::string path = test::TempPath("cursor_nn.snap");
   std::remove(path.c_str());
   std::vector<Hit> combined;
   {
@@ -1319,7 +1315,7 @@ TEST(JoinCursor, WorksWithWithinJoinEngine) {
   const std::vector<Pair> expected = Drain(&reference);
   ASSERT_GT(expected.size(), 40u);
 
-  const std::string path = TempPath("cursor_within.snap");
+  const std::string path = test::TempPath("cursor_within.snap");
   std::remove(path.c_str());
   std::vector<Pair> combined;
   {

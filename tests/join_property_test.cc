@@ -352,8 +352,8 @@ TEST(ParallelJoin, IoErrorPrefixesMatchAcrossThreadCounts) {
   const Rect<2> extent({0, 0}, {1000, 1000});
   const auto a = data::GenerateUniform(600, extent, 21);
   const auto b = data::GenerateUniform(700, extent, 22);
-  const std::string path_a = ::testing::TempDir() + "/par_fault_a.pages";
-  const std::string path_b = ::testing::TempDir() + "/par_fault_b.pages";
+  const std::string path_a = test::TempPath("par_fault_a.pages");
+  const std::string path_b = test::TempPath("par_fault_b.pages");
   const auto file_options = [](const std::string& path) {
     RTreeOptions topts;
     topts.page_size = 512;

@@ -1,18 +1,57 @@
-// Shared helpers for the join/semi-join test suites: tree construction from
-// point sets and brute-force reference results.
+// Shared helpers for the test suites: per-process temporary paths, tree
+// construction from point sets, and brute-force reference results.
 #ifndef SDJOIN_TESTS_JOIN_TEST_UTIL_H_
 #define SDJOIN_TESTS_JOIN_TEST_UTIL_H_
 
+#include <unistd.h>
+
 #include <algorithm>
+#include <cstdlib>
+#include <filesystem>
 #include <limits>
+#include <string>
+#include <system_error>
 #include <vector>
+
+#include <gtest/gtest.h>
 
 #include "geometry/distance.h"
 #include "geometry/metrics.h"
 #include "geometry/point.h"
 #include "rtree/rtree.h"
+#include "util/check.h"
 
 namespace sdj::test {
+
+// A path for `name` inside a directory private to this test process.
+// ctest runs every discovered TEST as its own process, in parallel under
+// -j, so fixed names in the shared ::testing::TempDir() would race. The
+// directory is created on first use and removed when the process that
+// created it exits. Death-test children share their parent's directory: a
+// forked child inherits the static, a re-executed one the environment.
+inline std::string TempPath(const std::string& name) {
+  struct Dir {
+    std::string path;
+    pid_t owner = 0;
+    Dir() {
+      if (const char* inherited = std::getenv("SDJ_TEST_TMPDIR")) {
+        path = inherited;
+        return;
+      }
+      path = ::testing::TempDir() + "sdj_test_XXXXXX";
+      SDJ_CHECK(::mkdtemp(path.data()) != nullptr);
+      ::setenv("SDJ_TEST_TMPDIR", path.c_str(), /*overwrite=*/1);
+      owner = ::getpid();
+    }
+    ~Dir() {
+      if (::getpid() != owner) return;
+      std::error_code ignored;
+      std::filesystem::remove_all(path, ignored);
+    }
+  };
+  static const Dir dir;
+  return dir.path + "/" + name;
+}
 
 // Builds a small-node R-tree over `points` with object ids = indices.
 inline RTree<2> BuildPointTree(const std::vector<Point<2>>& points,

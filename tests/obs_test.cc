@@ -169,7 +169,7 @@ TEST(TraceSink, WriteJsonEmitsChromeTraceSchema) {
   const uint64_t now = obs::MonotonicNowNs();
   sink.AddComplete("expansion", now, 1500);
   sink.AddComplete("page_read", now + 2000, 800);
-  const std::string path = ::testing::TempDir() + "/sdj_trace_test.json";
+  const std::string path = test::TempPath("sdj_trace_test.json");
   ASSERT_TRUE(sink.WriteJson(path));
 
   std::FILE* f = std::fopen(path.c_str(), "r");

@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include "join_test_util.h"
+
 namespace sdj::storage {
 namespace {
 
@@ -13,7 +15,7 @@ class PageFileTest : public ::testing::TestWithParam<bool> {
  protected:
   std::unique_ptr<PageFile> Make(uint32_t page_size) {
     if (GetParam()) {
-      const std::string path = ::testing::TempDir() + "/sdj_pagefile_test_" +
+      const std::string path = test::TempPath("sdj_pagefile_test_") +
                                std::to_string(counter_++) + ".bin";
       return NewFilePageFile(path, page_size);
     }

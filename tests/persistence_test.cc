@@ -9,16 +9,13 @@
 
 #include "core/distance_join.h"
 #include "data/generators.h"
+#include "join_test_util.h"
 #include "rtree/rtree.h"
 #include "storage/checksum.h"
 #include "storage/page_file.h"
 
 namespace sdj {
 namespace {
-
-std::string TempPath(const std::string& name) {
-  return ::testing::TempDir() + "/" + name;
-}
 
 RTreeOptions FileOptions(const std::string& path) {
   RTreeOptions options;
@@ -28,7 +25,7 @@ RTreeOptions FileOptions(const std::string& path) {
 }
 
 TEST(OpenFilePageFile, OpensExistingPages) {
-  const std::string path = TempPath("open_pagefile.bin");
+  const std::string path = test::TempPath("open_pagefile.bin");
   {
     auto file = storage::NewFilePageFile(path, 128);
     ASSERT_NE(file, nullptr);
@@ -47,8 +44,8 @@ TEST(OpenFilePageFile, OpensExistingPages) {
 }
 
 TEST(OpenFilePageFile, RejectsMissingOrMisalignedFiles) {
-  EXPECT_EQ(storage::OpenFilePageFile(TempPath("nope.bin"), 128), nullptr);
-  const std::string path = TempPath("misaligned.bin");
+  EXPECT_EQ(storage::OpenFilePageFile(test::TempPath("nope.bin"), 128), nullptr);
+  const std::string path = test::TempPath("misaligned.bin");
   {
     std::FILE* f = std::fopen(path.c_str(), "w");
     std::fputs("not a page multiple", f);
@@ -58,7 +55,7 @@ TEST(OpenFilePageFile, RejectsMissingOrMisalignedFiles) {
 }
 
 TEST(RTreePersistence, FlushAndOpenRoundTrip) {
-  const std::string path = TempPath("rtree_roundtrip.pages");
+  const std::string path = test::TempPath("rtree_roundtrip.pages");
   const auto points =
       data::GenerateUniform(800, Rect<2>({0, 0}, {500, 500}), 99);
   {
@@ -86,7 +83,7 @@ TEST(RTreePersistence, FlushAndOpenRoundTrip) {
 }
 
 TEST(RTreePersistence, ReopenedTreeSupportsFurtherInserts) {
-  const std::string path = TempPath("rtree_growing.pages");
+  const std::string path = test::TempPath("rtree_growing.pages");
   {
     RTree<2> tree(FileOptions(path));
     for (int i = 0; i < 200; ++i) {
@@ -111,7 +108,7 @@ TEST(RTreePersistence, ReopenedTreeSupportsFurtherInserts) {
 }
 
 TEST(RTreePersistence, OpenRejectsParameterMismatch) {
-  const std::string path = TempPath("rtree_mismatch.pages");
+  const std::string path = test::TempPath("rtree_mismatch.pages");
   {
     RTree<2> tree(FileOptions(path));
     tree.Insert(Rect<2>::FromPoint({1, 1}), 0);
@@ -129,7 +126,7 @@ TEST(RTreePersistence, OpenRejectsParameterMismatch) {
 }
 
 TEST(RTreePersistence, OpenRejectsUnflushedGarbage) {
-  const std::string path = TempPath("rtree_garbage.pages");
+  const std::string path = test::TempPath("rtree_garbage.pages");
   {
     auto file = storage::NewFilePageFile(path, 512);
     file->Allocate();  // a zeroed page: no magic
@@ -140,7 +137,7 @@ TEST(RTreePersistence, OpenRejectsUnflushedGarbage) {
 TEST(PageFileSync, MemoryAndPosixBackendsSyncOk) {
   auto memory = storage::NewMemoryPageFile(128);
   EXPECT_EQ(memory->Sync(), storage::IoStatus::kOk);
-  const std::string path = TempPath("sync.bin");
+  const std::string path = test::TempPath("sync.bin");
   auto posix = storage::NewFilePageFile(path, 128);
   ASSERT_NE(posix, nullptr);
   posix->Allocate();
@@ -150,7 +147,7 @@ TEST(PageFileSync, MemoryAndPosixBackendsSyncOk) {
 }
 
 TEST(OpenFilePageFile, RecoversTruncatedTrailingPage) {
-  const std::string path = TempPath("torn_tail.bin");
+  const std::string path = test::TempPath("torn_tail.bin");
   {
     auto file = storage::NewFilePageFile(path, 128);
     ASSERT_NE(file, nullptr);
@@ -181,7 +178,7 @@ TEST(OpenFilePageFile, RecoversTruncatedTrailingPage) {
 }
 
 TEST(RTreePersistence, CorruptedPageFailsChecksumNotGeometry) {
-  const std::string path = TempPath("rtree_corrupt.pages");
+  const std::string path = test::TempPath("rtree_corrupt.pages");
   const auto a = data::GenerateUniform(800, Rect<2>({0, 0}, {500, 500}), 7);
   {
     RTree<2> tree(FileOptions(path));
@@ -218,7 +215,7 @@ TEST(RTreePersistence, CorruptedPageFailsChecksumNotGeometry) {
 }
 
 TEST(RTreePersistence, OpenRecoversFromTornTrailingPage) {
-  const std::string path = TempPath("rtree_torn.pages");
+  const std::string path = test::TempPath("rtree_torn.pages");
   {
     RTree<2> tree(FileOptions(path));
     for (int i = 0; i < 300; ++i) {
@@ -243,8 +240,8 @@ TEST(RTreePersistence, OpenRecoversFromTornTrailingPage) {
 }
 
 TEST(RTreePersistence, JoinOverReopenedTrees) {
-  const std::string path_a = TempPath("rtree_join_a.pages");
-  const std::string path_b = TempPath("rtree_join_b.pages");
+  const std::string path_a = test::TempPath("rtree_join_a.pages");
+  const std::string path_b = test::TempPath("rtree_join_b.pages");
   const auto a = data::GenerateUniform(300, Rect<2>({0, 0}, {100, 100}), 1);
   const auto b = data::GenerateUniform(300, Rect<2>({0, 0}, {100, 100}), 2);
   {

@@ -21,6 +21,7 @@
 #include "core/semi_join.h"
 #include "geometry/distance.h"
 #include "geometry/rect.h"
+#include "join_test_util.h"
 #include "quadtree/quadtree.h"
 #include "rtree/rtree.h"
 #include "util/rng.h"
@@ -452,7 +453,7 @@ TEST(QuantizedRTree, BulkLoadMatchesInsertedContent) {
 }
 
 TEST(QuantizedRTree, PersistsAndRefusesEncodingMismatch) {
-  const std::string path = ::testing::TempDir() + "/quantized_rtree.pages";
+  const std::string path = test::TempPath("quantized_rtree.pages");
   std::remove(path.c_str());
   Rng rng(7014);
   const std::vector<Rect<2>> rects = RandomRects(rng, 400, 3.0, 300.0);

@@ -9,6 +9,7 @@
 
 #include "data/generators.h"
 #include "geometry/rect.h"
+#include "join_test_util.h"
 #include "rtree/node_layout.h"
 #include "util/rng.h"
 
@@ -336,7 +337,7 @@ TEST(RTree, NodeIoAccountingThroughPool) {
 
 TEST(RTree, FileBackedTreeWorks) {
   RTreeOptions options = SmallNodeOptions(RTreeOptions::Split::kRStar);
-  options.file_path = ::testing::TempDir() + "/sdj_rtree_test.pages";
+  options.file_path = test::TempPath("sdj_rtree_test.pages");
   options.buffer_pages = 4;
   RTree<2> tree(options);
   const auto points =

@@ -45,14 +45,10 @@ using test::BuildPointTree;
 using SessionId = serve::SessionManager<2>::SessionId;
 using EngineFactory = serve::SessionManager<2>::EngineFactory;
 
-std::string TempPath(const std::string& name) {
-  return ::testing::TempDir() + "/" + name;
-}
-
 // Creates a clean per-test state directory (recovery tests reuse paths, so
 // stale files from earlier runs must not leak in).
 std::string FreshStateDir(const std::string& name) {
-  const std::string dir = TempPath(name);
+  const std::string dir = test::TempPath(name);
   ::mkdir(dir.c_str(), 0755);
   std::remove((dir + "/sessions.tbl").c_str());
   for (int id = 1; id <= 16; ++id) {

@@ -1,4 +1,4 @@
-// Sharded best-first execution (DESIGN.md §18): the sharded wrappers must be
+// Sharded best-first execution (DESIGN.md §18): Sharded<Engine> must be
 // stream- AND stats-identical to the serial engines at every shard count, for
 // all five policies, on raw and quantized trees. Also covers the k-way merge
 // under a dead shard (kIoError with a valid serial prefix), merge-level
@@ -26,7 +26,6 @@
 #include "join_test_util.h"
 #include "nn/inc_farthest.h"
 #include "nn/inc_nearest.h"
-#include "nn/sharded_neighbor.h"
 #include "rtree/rtree.h"
 #include "storage/fault_injection.h"
 #include "util/stop_token.h"
@@ -243,9 +242,9 @@ TEST(ShardedParallelJoin, IneligibleConfigsFallBackToPassthrough) {
   }
 }
 
-// shards == 0 resolves through SDJ_SHARDS exactly like num_threads through
-// SDJ_THREADS; whatever the environment selects, the stream is the serial
-// one (this test runs under check.sh's SDJ_SHARDS=4 ctest pass too).
+// shards == 0 resolves through SDJ_SHARDS; whatever the environment
+// selects, the stream is the serial one (this test runs under check.sh's
+// SDJ_SHARDS=4 ctest pass too).
 TEST(ShardedParallelJoin, ZeroShardsResolvesFromEnvironment) {
   std::vector<JoinResult<2>> serial;
   {
@@ -446,10 +445,6 @@ TEST(ShardedParallelJoin, FarthestNeighborMatchesSerialAllShardCounts) {
 
 // ---- dead-shard semantics ---------------------------------------------------
 
-std::string TempPath(const std::string& name) {
-  return ::testing::TempDir() + "/" + name;
-}
-
 void BuildTreeFile(const std::string& path,
                    const std::vector<Point<2>>& points) {
   RTreeOptions options;
@@ -481,8 +476,8 @@ std::unique_ptr<RTree<2>> OpenFaulty(
 // shards' last produced keys) and then surface kIoError, exactly like a
 // serial engine's I/O stop. SaveState must refuse the dead cursor.
 TEST(ShardedParallelJoin, DeadShardYieldsSerialPrefixThenIoError) {
-  const std::string path_a = TempPath("shard_dead_a.pages");
-  const std::string path_b = TempPath("shard_dead_b.pages");
+  const std::string path_a = test::TempPath("shard_dead_a.pages");
+  const std::string path_b = test::TempPath("shard_dead_b.pages");
   BuildTreeFile(path_a, SetA());
   BuildTreeFile(path_b, SetB());
 

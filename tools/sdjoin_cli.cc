@@ -101,7 +101,6 @@
 #include <vector>
 
 #include "core/distance_join.h"
-#include "core/env_knobs.h"
 #include "core/join_cursor.h"
 #include "core/semi_join.h"
 #include "core/shard_merge.h"
@@ -393,50 +392,6 @@ int DriveJoin(Engine* engine, const Flags& flags,
   return ReportStatus(cursor.status(), cursor_options.snapshot_path);
 }
 
-// --kernel=auto|scalar|sse2|avx2|avx512 selects the SIMD distance-kernel
-// path (DESIGN.md §15). Unsupported requests degrade to the nearest
-// supported path; every path is bit-identical, so output never changes.
-bool ParseKernel(const Flags& flags, sdj::simd::Isa* isa) {
-  const std::string name = flags.Get("kernel", "auto");
-  if (!sdj::simd::ParseIsa(name.c_str(), isa)) {
-    std::fprintf(stderr, "unknown kernel: %s (auto|scalar|sse2|avx2|avx512)\n",
-                 name.c_str());
-    return false;
-  }
-  return true;
-}
-
-// --shards=N partitions the pair space into N independent best-first
-// engines behind the k-way frontier merge (DESIGN.md §18). 0 (the default)
-// defers to SDJ_SHARDS, falling back to 1 (the ordinary serial engines);
-// the stream is output-identical at every shard count.
-bool ParseShards(const Flags& flags, int* shards) {
-  const long value = flags.GetLong("shards", 0);
-  if (value < 0) {
-    std::fprintf(stderr, "--shards must be >= 0 (0 = SDJ_SHARDS or 1)\n");
-    return false;
-  }
-  *shards = static_cast<int>(value);
-  return true;
-}
-
-// --screen=on|off overrides integer code screening on quantized pages
-// (DESIGN.md §17; default on, or off when SDJ_SCREEN=off). Screening never
-// changes the pair stream, only how out-of-range candidates are rejected.
-bool ParseScreen(const Flags& flags, bool* screen) {
-  const std::string name = flags.Get("screen", *screen ? "on" : "off");
-  if (name == "on") {
-    *screen = true;
-  } else if (name == "off") {
-    *screen = false;
-  } else {
-    std::fprintf(stderr, "unknown screen setting: %s (on|off)\n",
-                 name.c_str());
-    return false;
-  }
-  return true;
-}
-
 bool ParseMetric(const std::string& name, Metric* metric) {
   if (name == "euclidean") {
     *metric = Metric::kEuclidean;
@@ -448,6 +403,62 @@ bool ParseMetric(const std::string& name, Metric* metric) {
     std::fprintf(stderr, "unknown metric: %s\n", name.c_str());
     return false;
   }
+  return true;
+}
+
+// Fills the options every engine shares from the flags and wires in the
+// stop token and metrics sink:
+//   --metric=euclidean|manhattan|chessboard
+//   --kernel=auto|scalar|sse2|avx2|avx512  SIMD path for the distance
+//       kernels (DESIGN.md §15); unsupported requests degrade to the nearest
+//       supported path, and every path is bit-identical
+//   --screen=on|off  integer code screening on quantized pages (DESIGN.md
+//       §17; default on, or off when SDJ_SCREEN=off); never changes the
+//       stream
+//   --shards=N  N independent engines behind the k-way frontier merge
+//       (DESIGN.md §18); 0 (the default) defers to SDJ_SHARDS, else 1
+// Prints the error and returns false on a bad value.
+bool ApplyEngineFlags(const Flags& flags,
+                      const sdj::util::StopSource& stop_source,
+                      sdj::obs::Metrics* metrics,
+                      sdj::EngineOptions* options) {
+  if (!ParseMetric(flags.Get("metric", "euclidean"), &options->metric)) {
+    return false;
+  }
+  const std::string kernel = flags.Get("kernel", "auto");
+  if (!sdj::simd::ParseIsa(kernel.c_str(), &options->kernel_isa)) {
+    std::fprintf(stderr, "unknown kernel: %s (auto|scalar|sse2|avx2|avx512)\n",
+                 kernel.c_str());
+    return false;
+  }
+  const std::string screen =
+      flags.Get("screen", options->screen_codes ? "on" : "off");
+  if (screen != "on" && screen != "off") {
+    std::fprintf(stderr, "unknown screen setting: %s (on|off)\n",
+                 screen.c_str());
+    return false;
+  }
+  options->screen_codes = screen == "on";
+  const long shards = flags.GetLong("shards", 0);
+  if (shards < 0) {
+    std::fprintf(stderr, "--shards must be >= 0 (0 = SDJ_SHARDS or 1)\n");
+    return false;
+  }
+  options->shards = static_cast<int>(shards);
+  options->stop_token = stop_source.token();
+  options->metrics = metrics;
+  return true;
+}
+
+// --threads=N: classify threads per engine (DESIGN.md §10), output-identical
+// to serial.
+bool ParseThreads(const Flags& flags, int* threads) {
+  const long value = flags.GetLong("threads", 1);
+  if (value < 1) {
+    std::fprintf(stderr, "--threads must be >= 1\n");
+    return false;
+  }
+  *threads = static_cast<int>(value);
   return true;
 }
 
@@ -545,34 +556,17 @@ int CmdJoin(const Flags& flags) {
       std::fprintf(stderr, "--within must be >= 0\n");
       return 1;
     }
-    if (!ParseMetric(flags.Get("metric", "euclidean"), &options.metric)) {
-      return 1;
-    }
-    if (!ParseKernel(flags, &options.kernel_isa)) return 1;
-    if (!ParseScreen(flags, &options.screen_codes)) return 1;
-    const long threads = flags.GetLong("threads", 1);
-    if (threads < 1) {
-      std::fprintf(stderr, "--threads must be >= 1\n");
-      return 1;
-    }
-    options.num_threads = static_cast<int>(threads);
-    if (!ParseShards(flags, &options.shards)) return 1;
     sdj::util::StopSource stop_source;
-    options.stop_token = stop_source.token();
-    options.metrics = obs.get();
+    if (!ApplyEngineFlags(flags, stop_source, obs.get(), &options) ||
+        !ParseThreads(flags, &options.num_threads)) {
+      return 1;
+    }
     ta.pool().SetMetrics(obs.get());
     tb.pool().SetMetrics(obs.get());
 
-    int rc;
-    if (sdj::env_knobs::ResolveShards(options.shards) >= 2) {
-      sdj::ShardedWithinJoin<2> join(ta, tb, options);
-      rc = DriveJoin(&join, flags, &stop_source,
-                     tree_options.fault_injection, obs.get());
-    } else {
-      sdj::IncWithinJoin<2> join(ta, tb, options);
-      rc = DriveJoin(&join, flags, &stop_source,
-                     tree_options.fault_injection, obs.get());
-    }
+    sdj::ShardedWithinJoin<2> join(ta, tb, options);
+    int rc = DriveJoin(&join, flags, &stop_source,
+                       tree_options.fault_injection, obs.get());
     if (faulty) {
       PrintFaultCounters("a", ta.injector());
       PrintFaultCounters("b", tb.injector());
@@ -582,11 +576,11 @@ int CmdJoin(const Flags& flags) {
   }
 
   DistanceJoinOptions options;
-  if (!ParseMetric(flags.Get("metric", "euclidean"), &options.metric)) {
+  sdj::util::StopSource stop_source;
+  if (!ApplyEngineFlags(flags, stop_source, obs.get(), &options) ||
+      !ParseThreads(flags, &options.num_threads)) {
     return 1;
   }
-  if (!ParseKernel(flags, &options.kernel_isa)) return 1;
-  if (!ParseScreen(flags, &options.screen_codes)) return 1;
   const std::string policy = flags.Get("policy", "even");
   if (policy == "even") {
     options.node_policy = sdj::NodeProcessingPolicy::kEven;
@@ -610,32 +604,14 @@ int CmdJoin(const Flags& flags) {
     }
     options.estimate_max_distance = true;
   }
-  const long threads = flags.GetLong("threads", 1);
-  if (threads < 1) {
-    std::fprintf(stderr, "--threads must be >= 1\n");
-    return 1;
-  }
-  options.num_threads = static_cast<int>(threads);
-  if (!ParseShards(flags, &options.shards)) return 1;
-  sdj::util::StopSource stop_source;
-  options.stop_token = stop_source.token();
-
-  options.metrics = obs.get();
   ta.pool().SetMetrics(obs.get());
   tb.pool().SetMetrics(obs.get());
 
-  int rc;
-  if (sdj::env_knobs::ResolveShards(options.shards) >= 2) {
-    // The wrapper itself falls back to a single passthrough engine for
-    // ineligible shapes (--reverse, --estimate), so no flag gymnastics here.
-    sdj::ShardedDistanceJoin<2> join(ta, tb, options);
-    rc = DriveJoin(&join, flags, &stop_source, tree_options.fault_injection,
-                   obs.get());
-  } else {
-    DistanceJoin<2> join(ta, tb, options);
-    rc = DriveJoin(&join, flags, &stop_source, tree_options.fault_injection,
-                   obs.get());
-  }
+  // The wrapper itself runs one passthrough engine below two shards and for
+  // ineligible shapes (--reverse, --estimate).
+  sdj::ShardedDistanceJoin<2> join(ta, tb, options);
+  int rc = DriveJoin(&join, flags, &stop_source, tree_options.fault_injection,
+                     obs.get());
   if (faulty) {
     PrintFaultCounters("a", ta.injector());
     PrintFaultCounters("b", tb.injector());
@@ -656,11 +632,10 @@ int CmdSemiJoin(const Flags& flags) {
   RTree<2> tb = IndexPoints(b, tree_options);
 
   sdj::SemiJoinOptions options;
-  if (!ParseMetric(flags.Get("metric", "euclidean"), &options.join.metric)) {
+  sdj::util::StopSource stop_source;
+  if (!ApplyEngineFlags(flags, stop_source, obs.get(), &options.join)) {
     return 1;
   }
-  if (!ParseKernel(flags, &options.join.kernel_isa)) return 1;
-  if (!ParseScreen(flags, &options.join.screen_codes)) return 1;
   options.join.max_pairs = static_cast<uint64_t>(flags.GetLong("k", 0));
   const std::string bound = flags.Get("bound", "globalall");
   if (bound == "none") {
@@ -687,24 +662,12 @@ int CmdSemiJoin(const Flags& flags) {
     return 1;
   }
 
-  if (!ParseShards(flags, &options.join.shards)) return 1;
-  sdj::util::StopSource stop_source;
-  options.join.stop_token = stop_source.token();
-
-  options.join.metrics = obs.get();
   ta.pool().SetMetrics(obs.get());
   tb.pool().SetMetrics(obs.get());
 
-  int rc;
-  if (sdj::env_knobs::ResolveShards(options.join.shards) >= 2) {
-    sdj::ShardedDistanceSemiJoin<2> semi(ta, tb, options);
-    rc = DriveJoin(&semi, flags, &stop_source, tree_options.fault_injection,
-                   obs.get());
-  } else {
-    DistanceSemiJoin<2> semi(ta, tb, options);
-    rc = DriveJoin(&semi, flags, &stop_source, tree_options.fault_injection,
-                   obs.get());
-  }
+  sdj::ShardedDistanceSemiJoin<2> semi(ta, tb, options);
+  int rc = DriveJoin(&semi, flags, &stop_source, tree_options.fault_injection,
+                     obs.get());
   if (faulty) {
     PrintFaultCounters("a", ta.injector());
     PrintFaultCounters("b", tb.injector());
