@@ -64,16 +64,16 @@ run_release() {
   # Quick-scale sanity run of the main table benchmark and the durable-cursor
   # sweep: catches bench-only build or runtime breakage without the ~5 min
   # full-scale cost. Results at 5% scale are not meaningful numbers.
-  (cd build && SDJ_BENCH_SCALE=0.05 bench/bench_table1 >/dev/null)
-  (cd build && SDJ_BENCH_SCALE=0.05 bench/bench_checkpoint >/dev/null)
+  (cd build-release && SDJ_BENCH_SCALE=0.05 bench/bench_table1 >/dev/null)
+  (cd build-release && SDJ_BENCH_SCALE=0.05 bench/bench_checkpoint >/dev/null)
   # Kernel microbench (DESIGN.md §15): one row per distance kernel per
   # supported SIMD tier, gated below so a dispatch or codegen regression in
   # rect_batch.h shows up as a pairs/sec drop.
-  (cd build && SDJ_BENCH_SCALE=0.05 bench/bench_kernels >/dev/null)
+  (cd build-release && SDJ_BENCH_SCALE=0.05 bench/bench_kernels >/dev/null)
   # Serving smoke (DESIGN.md §14): four concurrent sessions under memory
   # pressure and snapshot-store fault injection — evict/rehydrate churn and
   # bounded commit retries must hold up outside the unit tests too.
-  (cd build && SDJ_BENCH_SCALE=0.05 bench/bench_serving >/dev/null)
+  (cd build-release && SDJ_BENCH_SCALE=0.05 bench/bench_serving >/dev/null)
   echo "=== release: bench compare vs bench/baselines ==="
   # Gate the smoke run against the committed baseline (DESIGN.md §12) and
   # print the per-phase latency breakdown. node_io is deterministic at a
@@ -81,10 +81,10 @@ run_release() {
   # so the pairs/sec tolerance is loose by default. Override via env, e.g.
   # SDJ_BENCH_TIME_TOLERANCE=0.10 for a quiet benchmarking machine. After an
   # intentional perf change, refresh the baseline:
-  #   (cd build && SDJ_BENCH_SCALE=0.05 bench/bench_table1 >/dev/null &&
+  #   (cd build-release && SDJ_BENCH_SCALE=0.05 bench/bench_table1 >/dev/null &&
   #    cp BENCH_table1.json ../bench/baselines/)
   python3 scripts/compare_bench.py \
-    bench/baselines/BENCH_table1.json build/BENCH_table1.json \
+    bench/baselines/BENCH_table1.json build-release/BENCH_table1.json \
     --time-tolerance="${SDJ_BENCH_TIME_TOLERANCE:-0.60}" \
     --io-tolerance="${SDJ_BENCH_IO_TOLERANCE:-0.10}" \
     --show-phases
@@ -94,14 +94,14 @@ run_release() {
   # comparison outright (exit 2) if this host's kAuto dispatch differs from
   # the baseline's kernel_isa stamp — regenerate the baseline on such hosts.
   python3 scripts/compare_bench.py \
-    bench/baselines/BENCH_kernels.json build/BENCH_kernels.json \
+    bench/baselines/BENCH_kernels.json build-release/BENCH_kernels.json \
     --time-tolerance="${SDJ_BENCH_TIME_TOLERANCE:-0.60}"
   # Serving tail-latency gate: request p99 (serve_slice) may drift one
   # log-bucket (2x) but not more. node_io is looser than the join benches'
   # gate because the Sliced scenario's rotation points — and therefore the
   # shared buffer pool's eviction pattern — depend on wall-clock timing.
   python3 scripts/compare_bench.py \
-    bench/baselines/BENCH_serving.json build/BENCH_serving.json \
+    bench/baselines/BENCH_serving.json build-release/BENCH_serving.json \
     --time-tolerance="${SDJ_BENCH_TIME_TOLERANCE:-0.60}" \
     --io-tolerance="${SDJ_BENCH_SERVE_IO_TOLERANCE:-1.00}" \
     --p99-op=serve_slice \

@@ -98,6 +98,27 @@ struct PairEntryCompare {
   }
 };
 
+// PairEntryCompare's three tie-breaks packed into one word that orders the
+// same way: category (2 bits), depth rank (6 bits, inverted for
+// breadth-first) and seq (56 bits). Ordering by (key, PackedTie) is exactly
+// PairEntryCompare's order; MemoryPairQueue relies on it. Valid only for
+// entries that satisfy TiePackable.
+inline constexpr int kTieSeqBits = 56;
+
+template <int Dim>
+bool TiePackable(const PairEntry<Dim>& e) {
+  return e.category < 4 && e.depth >= -1 && e.depth + 1 < 64 &&
+         e.seq < (uint64_t{1} << kTieSeqBits);
+}
+
+template <int Dim>
+uint64_t PackedTie(const PairEntry<Dim>& e, TieBreakPolicy tie_break) {
+  const uint64_t depth_rank = tie_break == TieBreakPolicy::kDepthFirst
+                                  ? static_cast<uint64_t>(e.depth + 1)
+                                  : static_cast<uint64_t>(62 - e.depth);
+  return (uint64_t{e.category} << 62) | (depth_rank << kTieSeqBits) | e.seq;
+}
+
 // MINDIST between two items: a lower bound on the distance of every object
 // pair generated from them, and the exact distance for object/object pairs
 // whose rects are the exact geometry.

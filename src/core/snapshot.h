@@ -165,7 +165,8 @@ bool ReadEntry(BlobReader* in, PairEntry<Dim>* e) {
   e->seq = in->GetU64();
   e->category = in->GetU8();
   e->depth = in->GetI16();
-  return in->ok();
+  // Tie fields the memory queue cannot order are corruption, not entries.
+  return in->ok() && TiePackable(*e);
 }
 
 // Serialized size of one PairEntry (for GetCount plausibility checks).

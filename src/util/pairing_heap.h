@@ -207,9 +207,11 @@ class PairingHeap {
 
   // The classic two-pass pairing: meld siblings left-to-right in pairs, then
   // meld the pair roots right-to-left.
+  // Pops reuse one scratch list instead of allocating a vector each time.
   Node* CombineSiblings(Node* first) {
     if (first == nullptr) return nullptr;
-    std::vector<Node*> pairs;
+    std::vector<Node*>& pairs = pairs_scratch_;
+    pairs.clear();
     while (first != nullptr) {
       Node* a = first;
       Node* b = first->sibling;
@@ -251,6 +253,7 @@ class PairingHeap {
   size_t next_in_block_ = 0;
   Node* root_ = nullptr;
   size_t size_ = 0;
+  std::vector<Node*> pairs_scratch_;  // CombineSiblings scratch
 };
 
 }  // namespace sdj
